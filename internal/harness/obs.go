@@ -9,8 +9,9 @@ import (
 
 // ObsContexts returns the number of observability emission contexts the
 // network needs: one per organization shard plus the ordering shard plus
-// the control plane in sharded mode, or a single context sequentially —
-// the same layout the scenario runner's text-trace buffers use.
+// the control plane in sharded mode, or a single context sequentially.
+// This file is the one owner of the layout; the scenario runner indexes
+// its obs.Tracer buffers and registries through these accessors.
 func (n *Network) ObsContexts() int {
 	if n.se != nil {
 		return len(n.Orgs) + 2
@@ -34,6 +35,10 @@ func (n *Network) OrgObsContext(org int) int {
 	}
 	return 0
 }
+
+// CtlObsContext returns the emission-context index of the control plane
+// (scenario actions, ordering-service deliveries, barriers): the last one.
+func (n *Network) CtlObsContext() int { return n.ObsContexts() - 1 }
 
 // AttachObs wires the observability plane into the network: per-context
 // wire observers on the transport (sends in the sender's context,

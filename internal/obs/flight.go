@@ -19,8 +19,7 @@ type FlightRecorder struct {
 	n      int    // events per context in a dump
 	dir    string // dump directory ("" = os.TempDir())
 
-	mu   sync.Mutex
-	path string // most recent dump
+	mu sync.Mutex // serializes dumps
 }
 
 // NewFlightRecorder wraps the tracer. Each dump carries up to lastN events
@@ -30,13 +29,6 @@ func NewFlightRecorder(t *Tracer, lastN int, dir string) *FlightRecorder {
 		lastN = 256
 	}
 	return &FlightRecorder{tracer: t, n: lastN, dir: dir}
-}
-
-// Path returns the most recent dump's file path ("" if none yet).
-func (f *FlightRecorder) Path() string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.path
 }
 
 // Dump writes every context's recent events. Call only at quiescent
@@ -76,6 +68,5 @@ func (f *FlightRecorder) dump(reason string, only int) (string, error) {
 			return "", err
 		}
 	}
-	f.path = out.Name()
-	return f.path, nil
+	return out.Name(), nil
 }

@@ -22,10 +22,13 @@ func TestFlightDumpOnInjectedViolation(t *testing.T) {
 
 	// The hook the runner installs via sim.ShardedEngine.SetViolationHook:
 	// dump the offending shard, then let the panic propagate.
+	var path string
 	violated := func(src int, msg string) {
-		if _, err := rec.DumpShard(src, msg); err != nil {
+		p, err := rec.DumpShard(src, msg)
+		if err != nil {
 			t.Fatalf("dump: %v", err)
 		}
+		path = p
 	}
 	func() {
 		defer func() {
@@ -37,7 +40,6 @@ func TestFlightDumpOnInjectedViolation(t *testing.T) {
 		panic("sim: cross-shard delivery violates window horizon")
 	}()
 
-	path := rec.Path()
 	if path == "" {
 		t.Fatal("no dump path recorded")
 	}

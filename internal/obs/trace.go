@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"fabricgossip/internal/wire"
@@ -39,8 +38,24 @@ const (
 	EvBlockCommit // a peer committed a block in order (Num = block)
 	EvDeliver     // the ordering stream handed a block to an org leader
 	EvBarrier     // the sharded coordinator ran a full window barrier
-	EvFault       // a scenario fault action was applied
+	EvFault       // a scenario fault action was applied (Num = script index)
+
+	// Run-narrative points with no subsystem source: the scenario runner
+	// emits them on the context that observed the fact.
+	EvInitialDown     // the scenario's initially-down peers were crashed at setup
+	EvCaughtUp        // a restarted peer caught up (Num = height, Aux = ns since restart)
+	EvConsenterLeader // a fault action resolved the consenter leader (Node)
 )
+
+// pinnedKinds is the run's narrative — the low-volume kinds a scenario
+// report renders as its trace. They are emitted on every run, and a
+// bounded ring keeps them all (see ShardTrace) so the rendering never
+// depends on the flight recorder's capacity.
+const pinnedKinds = 1<<EvElection | 1<<EvDeliver | 1<<EvFault |
+	1<<EvInitialDown | 1<<EvCaughtUp | 1<<EvConsenterLeader
+
+// Pinned reports whether k belongs to the pinned narrative set.
+func (k EventKind) Pinned() bool { return pinnedKinds&(1<<k) != 0 }
 
 var eventKindNames = [...]string{
 	EvNone:        "none",
@@ -65,6 +80,10 @@ var eventKindNames = [...]string{
 	EvDeliver:     "deliver",
 	EvBarrier:     "barrier",
 	EvFault:       "fault",
+
+	EvInitialDown:     "initial_down",
+	EvCaughtUp:        "caught_up",
+	EvConsenterLeader: "consenter_leader",
 }
 
 func (k EventKind) String() string {
@@ -130,10 +149,12 @@ type Event struct {
 
 // ShardTrace is one emission context's event buffer: a single-writer,
 // append-only log (ringCap == 0), or a bounded ring keeping the most
-// recent ringCap events (the flight-recorder mode). Each simulation shard
-// owns exactly one, written only from its own goroutine.
+// recent ringCap events (the flight-recorder mode). Pinned-kind events
+// are also kept on a side log that is never evicted. Each simulation
+// shard owns exactly one, written only from its own goroutine.
 type ShardTrace struct {
 	events []Event
+	pinned []Event
 	cap    int // 0 = unbounded
 	next   int // ring write position
 	total  uint64
@@ -152,6 +173,9 @@ func NewShardTrace(ringCap int) *ShardTrace {
 // Emit appends one event. Ring mode overwrites the oldest.
 func (t *ShardTrace) Emit(e Event) {
 	t.total++
+	if e.Kind.Pinned() {
+		t.pinned = append(t.pinned, e)
+	}
 	if t.cap == 0 {
 		t.events = append(t.events, e)
 		return
@@ -219,35 +243,39 @@ func (t *Tracer) Total() uint64 {
 }
 
 // Merged assembles the run's total event order: (At, context index,
-// emission order) — the same total order PR 8's text-trace merge uses, a
-// pure function of (seed, scenario) regardless of how shard goroutines
-// interleaved. Call only after the run (or at a barrier).
+// emission order) — a pure function of (seed, scenario) regardless of how
+// shard goroutines interleaved. Call only after the run (or at a barrier).
 func (t *Tracer) Merged() []Event {
-	if len(t.Shards) == 1 {
-		return append([]Event(nil), t.Shards[0].chronological()...)
+	return t.merge((*ShardTrace).chronological)
+}
+
+// Pinned returns every pinned-kind event in the same total order as
+// Merged, whether the buffers are full logs or flight-recorder rings.
+func (t *Tracer) Pinned() []Event {
+	return t.merge(func(s *ShardTrace) []Event { return s.pinned })
+}
+
+// merge k-way merges one event list per context into a presized output,
+// ordered by (At, context index, position). Each context's list must be
+// nondecreasing in At — true of every buffer, since a context's events
+// are stamped by its own engine clock as they are emitted.
+func (t *Tracer) merge(view func(*ShardTrace) []Event) []Event {
+	lists := make([][]Event, len(t.Shards))
+	n := 0
+	for i, s := range t.Shards {
+		lists[i] = view(s)
+		n += len(lists[i])
 	}
-	type tagged struct {
-		e        Event
-		buf, pos int
-	}
-	var all []tagged
-	for b, s := range t.Shards {
-		for p, e := range s.chronological() {
-			all = append(all, tagged{e, b, p})
+	out := make([]Event, n)
+	for k := range out {
+		best := -1
+		for i, l := range lists {
+			if len(l) > 0 && (best < 0 || l[0].At < lists[best][0].At) {
+				best = i
+			}
 		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].e.At != all[j].e.At {
-			return all[i].e.At < all[j].e.At
-		}
-		if all[i].buf != all[j].buf {
-			return all[i].buf < all[j].buf
-		}
-		return all[i].pos < all[j].pos
-	})
-	out := make([]Event, len(all))
-	for i, e := range all {
-		out[i] = e.e
+		out[k] = lists[best][0]
+		lists[best] = lists[best][1:]
 	}
 	return out
 }

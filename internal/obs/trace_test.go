@@ -2,6 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -47,6 +50,77 @@ func TestMergedOrder(t *testing.T) {
 	for i, e := range merged {
 		if e.Num != wantNum[i] {
 			t.Fatalf("merged order %v, want nums %v", merged, wantNum)
+		}
+	}
+}
+
+// sortMerge is the reference total order the k-way merge must reproduce:
+// every event tagged with its context and position, then sorted by
+// (At, context, position).
+func sortMerge(lists [][]Event) []Event {
+	type tagged struct {
+		e        Event
+		ctx, pos int
+	}
+	var all []tagged
+	for c, l := range lists {
+		for p, e := range l {
+			all = append(all, tagged{e, c, p})
+		}
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].e.At != all[j].e.At {
+			return all[i].e.At < all[j].e.At
+		}
+		if all[i].ctx != all[j].ctx {
+			return all[i].ctx < all[j].ctx
+		}
+		return all[i].pos < all[j].pos
+	})
+	out := make([]Event, len(all))
+	for i, t := range all {
+		out[i] = t.e
+	}
+	return out
+}
+
+// TestMergeMatchesSortReference checks Merged and Pinned against the
+// reference sort on nondecreasing per-context buffers with many equal
+// timestamps across contexts, both as full logs and as wrapped rings —
+// where Pinned must still hold every pinned event ever emitted.
+func TestMergeMatchesSortReference(t *testing.T) {
+	kinds := []EventKind{EvGossipSend, EvDeliver, EvBlockCommit, EvFault, EvCaughtUp}
+	for _, ringCap := range []int{0, 5} {
+		rng := rand.New(rand.NewSource(1))
+		tr := NewTracer(4, ringCap)
+		emitted := make([][]Event, 4)
+		clock := make([]time.Duration, 4)
+		for i := 0; i < 400; i++ {
+			c := rng.Intn(4)
+			clock[c] += time.Duration(rng.Intn(3)) // zero steps tie timestamps
+			e := Event{At: clock[c], Kind: kinds[rng.Intn(len(kinds))], Num: uint64(i)}
+			tr.Shards[c].Emit(e)
+			emitted[c] = append(emitted[c], e)
+		}
+		held := make([][]Event, 4)
+		for c, s := range tr.Shards {
+			held[c] = s.chronological()
+			if ringCap > 0 && s.Len() >= int(s.Total()) {
+				t.Fatalf("ring %d never wrapped", c)
+			}
+		}
+		if got, want := tr.Merged(), sortMerge(held); !slices.Equal(got, want) {
+			t.Fatalf("ring=%d: Merged diverges from the reference sort", ringCap)
+		}
+		var wantPinned []Event
+		for _, e := range sortMerge(emitted) {
+			if e.Kind.Pinned() {
+				wantPinned = append(wantPinned, e)
+			}
+		}
+		if got := tr.Pinned(); len(got) <= ringCap || !slices.Equal(got, wantPinned) {
+			t.Fatalf("ring=%d: Pinned holds %d events, want the %d pinned ones in merge order",
+				ringCap, len(got), len(wantPinned))
 		}
 	}
 }

@@ -16,15 +16,27 @@ import (
 // run. Trace points are passive (no random draws, no scheduled events) and
 // the registries are read only at report time, so a run with tracing, the
 // flight recorder, or both armed produces a fingerprint byte-identical to
-// a bare run — sequentially and on the sharded engine.
+// a bare run — sequentially and on the sharded engine. Report.Trace is
+// rendered from the tracer's pinned events, so it must match the bare
+// run's line for line even when a ring far smaller than the trace backs
+// the recorder.
 func TestObsLeavesFingerprintUnchanged(t *testing.T) {
 	cases := []struct {
 		name     string
 		scenario string
 		opt      Options
+		trace    bool
+		ring     int
+		want     []string // substrings Report.Trace must contain
 	}{
-		{"sequential", "crash-restart", Options{Peers: 40, Seed: 3}},
-		{"sharded", "sharded-crash-restart", Options{Peers: 20, Seed: 42}},
+		{"sequential", "crash-restart", Options{Peers: 40, Seed: 3}, true, 64,
+			[]string{"deliver block", "caught up to height"}},
+		{"sharded", "sharded-crash-restart", Options{Peers: 20, Seed: 42}, true, 64,
+			[]string{"deliver block", "caught up to height"}},
+		{"ring-only", "sharded-crash-restart", Options{Peers: 20, Seed: 42}, false, 4,
+			[]string{"deliver block", "caught up to height"}},
+		{"consenter-election", "consenter-election-under-txload", Options{Peers: 20, Seed: 42}, true, 64,
+			[]string{"crash consenter leader", "consenter leader is", "elected leader (term"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -33,8 +45,8 @@ func TestObsLeavesFingerprintUnchanged(t *testing.T) {
 				t.Fatal(err)
 			}
 			traced := tc.opt
-			traced.Trace = true
-			traced.FlightRing = 64
+			traced.Trace = tc.trace
+			traced.FlightRing = tc.ring
 			traced.FlightDir = t.TempDir()
 			rep, err := RunNamed(tc.scenario, traced)
 			if err != nil {
@@ -44,8 +56,28 @@ func TestObsLeavesFingerprintUnchanged(t *testing.T) {
 				t.Errorf("tracing moved the fingerprint:\n  bare:   %s\n  traced: %s",
 					bare.Fingerprint(), rep.Fingerprint())
 			}
-			if len(rep.Events) == 0 {
+			if len(rep.Trace) != len(bare.Trace) {
+				t.Errorf("traced run has %d trace lines, bare run %d", len(rep.Trace), len(bare.Trace))
+			}
+			for i := range min(len(rep.Trace), len(bare.Trace)) {
+				if rep.Trace[i] != bare.Trace[i] {
+					t.Fatalf("trace line %d differs:\n  bare:   %s\n  traced: %s", i, bare.Trace[i], rep.Trace[i])
+				}
+			}
+			if !tc.trace && len(bare.Trace) <= tc.ring {
+				t.Errorf("trace has %d lines, not more than the %d-event ring", len(bare.Trace), tc.ring)
+			}
+			joined := strings.Join(bare.Trace, "\n")
+			for _, w := range tc.want {
+				if !strings.Contains(joined, w) {
+					t.Errorf("trace has no %q line", w)
+				}
+			}
+			if tc.trace && len(rep.Events) == 0 {
 				t.Error("traced run produced no structured events")
+			}
+			if !tc.trace && len(rep.Events) != 0 {
+				t.Errorf("ring-only run produced %d structured events", len(rep.Events))
 			}
 			if len(bare.Events) != 0 {
 				t.Errorf("bare run produced %d structured events", len(bare.Events))

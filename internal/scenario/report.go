@@ -168,7 +168,9 @@ type Report struct {
 	// OrgReports breaks the run down per organization, in org order.
 	OrgReports []OrgReport
 
-	// Trace is the deterministic event log of the run.
+	// Trace is the deterministic event log of the run, rendered at report
+	// time from the structured stream's pinned kinds (obs.EventKind.Pinned):
+	// setup, fault actions, deliveries, elections and catch-ups.
 	Trace []string
 
 	// Obs is the run's unified metrics inventory: the transport's

@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"time"
 
 	"fabricgossip/internal/gossip"
@@ -167,13 +166,6 @@ type runner struct {
 	orgRecs []*metrics.RecoveryRecorder
 	lat     *metrics.GroupedLatency
 
-	// traces holds per-engine-context trace buffers: index o for org o,
-	// then one for the ordering engine, then one for the control engine
-	// (fault actions, deliveries). Sequentially there is a single buffer
-	// and the report keeps exact emission order — fingerprint-pinned; a
-	// sharded run merges buffers by (time, buffer, position), which is
-	// deterministic regardless of window interleaving.
-	traces   [][]traceEntry
 	injected int               // distinct blocks delivered to at least one org
 	seen     map[uint64]bool   // blocks counted in injected
 	orgSeen  []map[uint64]bool // per-org delivered blocks
@@ -212,23 +204,19 @@ type runner struct {
 	heapSampled bool
 	lastHeapAt  time.Duration
 
-	// Observability plane (all nil/empty unless Options opts in).
-	// obsRegs holds one shard-local registry per emission context —
-	// same layout as traces — merged at report (and time-series sample)
-	// time; tracer's contexts back both the structured event stream and
-	// the flight recorder's rings.
-	obsRegs    []*obs.Registry
+	// Observability plane. tracer always exists: one buffer per emission
+	// context (the layout harness.Network owns), holding at least the
+	// pinned events Report.Trace is rendered from. traceAll adds every
+	// high-volume kind (Trace or FlightRing); the tracer's contexts then
+	// back the structured event stream and the flight recorder's rings.
+	// obsRegs (nil unless Options opts in) holds one shard-local registry
+	// per context, merged at report (and time-series sample) time.
 	tracer     *obs.Tracer
+	traceAll   bool
+	obsRegs    []*obs.Registry
 	flight     *obs.FlightRecorder
 	series     *obs.Series
 	flightDump string
-}
-
-// traceEntry is one trace line before prefix formatting, tagged with its
-// virtual time for the sharded merge.
-type traceEntry struct {
-	at   time.Duration
-	line string
 }
 
 // RunNamed instantiates the named catalog scenario for opt's topology and
@@ -421,19 +409,17 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 		harness.WithNetworkCoreHook(r.instrument),
 		harness.WithDeliverHook(r.onDeliver),
 		harness.WithConsenterHook(func(c int, s raft.State, term uint64) {
-			if s == raft.Leader {
-				r.ordTracef("consenter %d elected leader (term %d)", c, term)
-			}
-			if r.tracer != nil {
-				kind := obs.EvRaftState
-				if s == raft.Leader {
-					kind = obs.EvElection
+			kind := obs.EvElection
+			if s != raft.Leader {
+				if !r.traceAll {
+					return
 				}
-				r.emitOrd(obs.Event{
-					At: r.net.OrdererEngine().Now(), Kind: kind,
-					Node: int32(c), Peer: -1, Num: term, Aux: uint64(s),
-				})
+				kind = obs.EvRaftState
 			}
+			r.emitOrd(obs.Event{
+				At: r.net.OrdererEngine().Now(), Kind: kind,
+				Node: int32(c), Peer: -1, Num: term, Aux: uint64(s),
+			})
 		}),
 	)
 	if err != nil {
@@ -443,61 +429,55 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 	// The request may fall back sequential (no usable lookahead window);
 	// trace buffering follows what the network actually runs.
 	r.sharded = net.Sharded() != nil
-	nbuf := 1
 	if r.sharded {
-		nbuf = top.Orgs() + 2
 		// Barrier-hosted heap sampling: every shard is quiescent, so the
 		// reading covers the whole network's live state.
 		net.Sharded().OnBarrier(r.sampleHeap)
 	}
-	r.traces = make([][]traceEntry, nbuf)
 	engine := net.Engine
 
-	// Observability plane: registries and structured-trace buffers share
-	// the text-trace contexts' layout. AttachObs installs only passive
-	// instruments (no random draws, no events), so a Trace or FlightRing
-	// run's fingerprint is byte-identical to a bare one; TimeSeries is the
-	// exception — its sampler is an engine event, documented on Options.
-	if opt.Trace || opt.FlightRing > 0 || opt.TimeSeries > 0 {
-		r.obsRegs = make([]*obs.Registry, nbuf)
+	// Observability plane. The tracer keeps full buffers unless only the
+	// flight recorder wants recent history (bounded rings; pinned events
+	// survive either way). AttachObs installs only passive instruments (no
+	// random draws, no events), so a Trace or FlightRing run's fingerprint
+	// is byte-identical to a bare one; TimeSeries is the exception — its
+	// sampler is an engine event, documented on Options.
+	r.traceAll = opt.Trace || opt.FlightRing > 0
+	ringCap := opt.FlightRing
+	if opt.Trace {
+		ringCap = 0
+	}
+	r.tracer = obs.NewTracer(net.ObsContexts(), ringCap)
+	if r.traceAll || opt.TimeSeries > 0 {
+		r.obsRegs = make([]*obs.Registry, net.ObsContexts())
 		for i := range r.obsRegs {
 			r.obsRegs[i] = obs.NewRegistry()
 		}
-		if opt.Trace || opt.FlightRing > 0 {
-			// Full buffers when the merged stream is wanted; bounded
-			// rings when only the flight recorder needs recent history.
-			ringCap := 0
-			if !opt.Trace {
-				ringCap = opt.FlightRing
-			}
-			r.tracer = obs.NewTracer(nbuf, ringCap)
-		}
 		var shards []*obs.ShardTrace
-		if r.tracer != nil {
+		if r.traceAll {
 			shards = r.tracer.Shards
 		}
 		net.AttachObs(r.obsRegs, shards)
-		if opt.FlightRing > 0 {
-			r.flight = obs.NewFlightRecorder(r.tracer, opt.FlightRing, opt.FlightDir)
-			if se := net.Sharded(); se != nil {
-				se.SetViolationHook(func(src, dst int, msg string) {
-					// Mid-window only the offending shard's ring is safe
-					// to read; dump it before the panic unwinds so the
-					// artifact survives the crash.
-					if p, derr := r.flight.DumpShard(src, msg); derr == nil {
-						r.flightDump = p
-					}
-				})
-			}
-		}
-		if r.tracer != nil && r.sharded {
-			ctl := r.tracer.Shards[nbuf-1]
-			var barrierN uint64
-			net.Sharded().OnBarrier(func() {
-				barrierN++
-				ctl.Emit(obs.Event{At: engine.Now(), Kind: obs.EvBarrier, Node: -1, Peer: -1, Num: barrierN})
+	}
+	if opt.FlightRing > 0 {
+		r.flight = obs.NewFlightRecorder(r.tracer, opt.FlightRing, opt.FlightDir)
+		if se := net.Sharded(); se != nil {
+			se.SetViolationHook(func(src, dst int, msg string) {
+				// Mid-window only the offending shard's ring is safe to
+				// read; dump it before the panic unwinds so the artifact
+				// survives the crash.
+				if p, derr := r.flight.DumpShard(src, msg); derr == nil {
+					r.flightDump = p
+				}
 			})
 		}
+	}
+	if r.traceAll && r.sharded {
+		var barrierN uint64
+		net.Sharded().OnBarrier(func() {
+			barrierN++
+			r.emitCtl(obs.Event{At: engine.Now(), Kind: obs.EvBarrier, Node: -1, Peer: -1, Num: barrierN})
+		})
 	}
 
 	// The workload plane must install before the cores start (its
@@ -509,13 +489,12 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 			return nil, err
 		}
 		r.plane = plane
-		if r.tracer != nil {
+		if r.traceAll {
 			// Block cutting happens on the ordering engine's goroutine
 			// (the consenter shard, when sharded).
-			ordTrace := r.tracer.Shards[net.OrdObsContext()]
 			ordEng := net.OrdererEngine()
 			plane.OnBlockCut(func(consenter int, num uint64, txs int) {
-				ordTrace.Emit(obs.Event{
+				r.emitOrd(obs.Event{
 					At: ordEng.Now(), Kind: obs.EvBlockCut,
 					Node: int32(consenter), Peer: -1, Num: num, Aux: uint64(txs),
 				})
@@ -547,7 +526,7 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 		net.Crash(i)
 	}
 	if len(sc.InitialDown) > 0 {
-		r.tracef("start with peers %s down", rangeSpec(sc.InitialDown))
+		r.emitCtl(obs.Event{At: engine.Now(), Kind: obs.EvInitialDown, Node: -1, Peer: -1})
 	}
 
 	// Schedule the dissemination workload: the ordering service streams
@@ -570,10 +549,7 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 	for idx, ev := range sc.Events {
 		idx, ev := idx, ev
 		engine.At(ev.At, func() {
-			r.tracef("%s", ev.Action)
-			if r.tracer != nil {
-				r.emitCtl(obs.Event{At: engine.Now(), Kind: obs.EvFault, Node: -1, Peer: -1, Num: uint64(idx)})
-			}
+			r.emitCtl(obs.Event{At: engine.Now(), Kind: obs.EvFault, Node: -1, Peer: -1, Num: uint64(idx)})
 			ev.Action.apply(r)
 			r.sampleHeap()
 		})
@@ -604,15 +580,7 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 // so the extra events release envelopes and do nothing else.
 func (r *runner) checkPoolLeaks() error {
 	r.net.RunUntil(r.sc.End() + 5*time.Second)
-	type pooled interface{ PoolOutstanding() (data, digest int) }
-	var data, digest int
-	for _, c := range r.net.Cores {
-		if p, ok := c.Proto().(pooled); ok {
-			d, g := p.PoolOutstanding()
-			data += d
-			digest += g
-		}
-	}
+	data, digest := r.poolOutstanding()
 	if data != 0 || digest != 0 {
 		// The engines are quiescent after the drain, so the full
 		// flight-recorder dump (every context) is safe here.
@@ -628,6 +596,19 @@ func (r *runner) checkPoolLeaks() error {
 			r.sc.Name, data, digest, detail)
 	}
 	return nil
+}
+
+// poolOutstanding sums every protocol's pooled-envelope leak canaries.
+func (r *runner) poolOutstanding() (data, digest int) {
+	type pooled interface{ PoolOutstanding() (data, digest int) }
+	for _, c := range r.net.Cores {
+		if p, ok := c.Proto().(pooled); ok {
+			d, g := p.PoolOutstanding()
+			data += d
+			digest += g
+		}
+	}
+	return data, digest
 }
 
 // actionPeers returns the global peer indices an action addresses, for
@@ -677,38 +658,23 @@ func actionOrgs(a Action) []int {
 }
 
 // onDeliver traces ordering-service deliveries and maintains the injected
-// counters. Redeliveries (leader failover replaying the stream) are traced
-// separately and never recounted.
+// counters. Redeliveries (leader failover replaying the stream) are never
+// recounted.
 func (r *runner) onDeliver(org, peer int, b *ledger.Block, redelivery bool) {
-	if r.tracer != nil {
-		// Deliveries run on the control engine (the pump's timer host).
-		var re uint64
-		if redelivery {
-			re = 1
-		}
-		r.emitCtl(obs.Event{
-			At: r.net.Engine.Now(), Kind: obs.EvDeliver,
-			Node: int32(peer), Peer: int32(org), Num: b.Num, Aux: re,
-		})
+	// Deliveries run on the control engine (the pump's timer host).
+	var re uint64
+	if redelivery {
+		re = 1
 	}
+	r.emitCtl(obs.Event{
+		At: r.net.Engine.Now(), Kind: obs.EvDeliver,
+		Node: int32(peer), Peer: int32(org), Num: b.Num, Aux: re,
+	})
 	if !r.orgSeen[org][b.Num] {
 		r.orgSeen[org][b.Num] = true
 		if !r.seen[b.Num] {
 			r.seen[b.Num] = true
 			r.injected++
-		}
-		if r.top.Orgs() == 1 {
-			r.tracef("deliver block %d -> peer %d", b.Num, peer)
-		} else {
-			r.tracef("deliver block %d -> org %d peer %d", b.Num, org, peer)
-		}
-		return
-	}
-	if redelivery {
-		if r.top.Orgs() == 1 {
-			r.tracef("redeliver block %d -> peer %d", b.Num, peer)
-		} else {
-			r.tracef("redeliver block %d -> org %d peer %d", b.Num, org, peer)
 		}
 	}
 }
@@ -723,17 +689,21 @@ func (r *runner) instrument(i int, core *gossip.Core) {
 			r.orderViolations[org]++
 		}
 		r.lastCommit[i] = int64(b.Num)
-		if r.tracer != nil {
+		if r.traceAll {
 			r.emitOrg(org, obs.Event{
 				At: r.net.EngineFor(i).Now(), Kind: obs.EvBlockCommit,
 				Node: int32(i), Peer: -1, Num: b.Num, Aux: uint64(len(b.Txs)),
 			})
 		}
 		if r.recovering[i] && b.Num+1 >= uint64(r.injected) {
-			lat := r.net.EngineFor(i).Now() - r.restartAt[i]
+			now := r.net.EngineFor(i).Now()
+			lat := now - r.restartAt[i]
 			r.orgRecs[org].Record(lat)
 			r.recovering[i] = false
-			r.orgTracef(org, "peer %d caught up to height %d, %v after restart", i, b.Num+1, lat)
+			r.emitOrg(org, obs.Event{
+				At: now, Kind: obs.EvCaughtUp,
+				Node: int32(i), Peer: -1, Num: b.Num + 1, Aux: uint64(lat),
+			})
 		}
 	})
 	core.OnFirstReception(func(b *ledger.Block, at time.Duration) {
@@ -750,7 +720,7 @@ func (r *runner) instrument(i int, core *gossip.Core) {
 	})
 	core.OnPeerStateChange(func(p wire.NodeID, live bool, at time.Duration) {
 		r.transitions[org]++
-		if r.tracer != nil {
+		if r.traceAll {
 			var alive uint64
 			if live {
 				alive = 1
@@ -957,98 +927,63 @@ func (r *runner) sampleViews() {
 	}
 }
 
-// tracef records a trace line from the control context: fault actions,
-// block deliveries, setup — everything that runs on the control engine (at
-// coordinator barriers, when sharded).
-func (r *runner) tracef(format string, args ...any) {
-	r.traceTo(len(r.traces)-1, r.net.Engine.Now(), format, args...)
-}
-
-// orgTracef records a trace line from an organization's engine context —
-// its own shard's goroutine, mid-window, when sharded.
-func (r *runner) orgTracef(org int, format string, args ...any) {
-	buf := len(r.traces) - 1
-	if r.sharded {
-		buf = org
-	}
-	r.traceTo(buf, r.net.OrgEngine(org).Now(), format, args...)
-}
-
-// ordTracef records a trace line from the ordering engine's context (the
-// consenter cluster's shard, when sharded).
-func (r *runner) ordTracef(format string, args ...any) {
-	buf := len(r.traces) - 1
-	if r.sharded {
-		buf = len(r.traces) - 2
-	}
-	r.traceTo(buf, r.net.OrdererEngine().Now(), format, args...)
-}
-
-func (r *runner) traceTo(buf int, at time.Duration, format string, args ...any) {
-	r.traces[buf] = append(r.traces[buf], traceEntry{at: at, line: fmt.Sprintf(format, args...)})
-}
-
-// emitOrg/emitOrd/emitCtl append one structured event to the owning
-// emission context's buffer, following the same context layout as the
-// text-trace buffers. Callers guard with r.tracer != nil so the
-// tracing-off hot path pays only that check.
+// emitOrg/emitOrd/emitCtl append one structured event to the buffer of
+// the emission context that owns the caller: an organization's shard, the
+// ordering shard, or the control plane. Callers of high-volume kinds guard
+// with r.traceAll so a bare run's hot path pays only that check.
 func (r *runner) emitOrg(org int, e obs.Event) {
-	buf := 0
-	if r.sharded {
-		buf = org
-	}
-	r.tracer.Shards[buf].Emit(e)
+	r.tracer.Shards[r.net.OrgObsContext(org)].Emit(e)
 }
 
 func (r *runner) emitOrd(e obs.Event) {
-	buf := 0
-	if r.sharded {
-		buf = len(r.tracer.Shards) - 2
-	}
-	r.tracer.Shards[buf].Emit(e)
+	r.tracer.Shards[r.net.OrdObsContext()].Emit(e)
 }
 
 func (r *runner) emitCtl(e obs.Event) {
-	r.tracer.Shards[len(r.tracer.Shards)-1].Emit(e)
+	r.tracer.Shards[r.net.CtlObsContext()].Emit(e)
 }
 
-// mergedTrace assembles the final trace. Sequential runs keep the single
-// buffer's exact emission order (fingerprint-pinned); sharded runs merge
-// the per-context buffers by (time, buffer, position) — a total order that
-// does not depend on how windows interleaved across goroutines.
-func (r *runner) mergedTrace() []string {
-	format := func(e traceEntry) string {
-		return fmt.Sprintf("[%10v] %s", e.at, e.line)
+// renderTrace renders Report.Trace from the tracer's pinned events, which
+// arrive in the run's total (time, context, emission order). An ordering-
+// service delivery is traced the first time its block reaches an
+// organization, and again only as an explicit redelivery.
+func (r *runner) renderTrace() []string {
+	events := r.tracer.Pinned()
+	out := make([]string, 0, len(events))
+	type orgBlock struct {
+		org int32
+		num uint64
 	}
-	if !r.sharded {
-		out := make([]string, len(r.traces[0]))
-		for i, e := range r.traces[0] {
-			out[i] = format(e)
+	delivered := make(map[orgBlock]bool)
+	for _, e := range events {
+		var line string
+		switch e.Kind {
+		case obs.EvInitialDown:
+			line = fmt.Sprintf("start with peers %s down", rangeSpec(r.sc.InitialDown))
+		case obs.EvFault:
+			line = r.sc.Events[e.Num].Action.String()
+		case obs.EvConsenterLeader:
+			line = fmt.Sprintf("consenter leader is %d", e.Node)
+		case obs.EvElection:
+			line = fmt.Sprintf("consenter %d elected leader (term %d)", e.Node, e.Num)
+		case obs.EvCaughtUp:
+			line = fmt.Sprintf("peer %d caught up to height %d, %v after restart", e.Node, e.Num, time.Duration(e.Aux))
+		case obs.EvDeliver:
+			verb := "deliver"
+			if key := (orgBlock{e.Peer, e.Num}); !delivered[key] {
+				delivered[key] = true
+			} else if e.Aux == 1 {
+				verb = "redeliver"
+			} else {
+				continue
+			}
+			if r.top.Orgs() == 1 {
+				line = fmt.Sprintf("%s block %d -> peer %d", verb, e.Num, e.Node)
+			} else {
+				line = fmt.Sprintf("%s block %d -> org %d peer %d", verb, e.Num, e.Peer, e.Node)
+			}
 		}
-		return out
-	}
-	type tagged struct {
-		traceEntry
-		buf, pos int
-	}
-	var all []tagged
-	for b, buf := range r.traces {
-		for p, e := range buf {
-			all = append(all, tagged{e, b, p})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].at != all[j].at {
-			return all[i].at < all[j].at
-		}
-		if all[i].buf != all[j].buf {
-			return all[i].buf < all[j].buf
-		}
-		return all[i].pos < all[j].pos
-	})
-	out := make([]string, len(all))
-	for i, e := range all {
-		out[i] = format(e.traceEntry)
+		out = append(out, fmt.Sprintf("[%10v] %s", e.At, line))
 	}
 	return out
 }
@@ -1088,7 +1023,7 @@ func (r *runner) report(blocks []*ledger.Block) *Report {
 			tv.CountOf(wire.TypeStateResponse),
 		Recoveries: metrics.SummarizeSamples(recAll),
 		Latency:    r.lat.SummarizeAll(),
-		Trace:      r.mergedTrace(),
+		Trace:      r.renderTrace(),
 	}
 	if r.viewSamples > 0 {
 		rep.ViewSamples = r.viewSamples
@@ -1189,18 +1124,10 @@ func (r *runner) buildObs(rep *Report) *obs.Snapshot {
 	// Pool leak canaries: pooled envelopes still outstanding at End —
 	// in-flight deliveries the post-report drain settles. The audit in
 	// checkPoolLeaks asserts these reach zero after the drain.
-	type pooled interface{ PoolOutstanding() (data, digest int) }
-	var data, digest int
-	for _, c := range r.net.Cores {
-		if p, ok := c.Proto().(pooled); ok {
-			d, g := p.PoolOutstanding()
-			data += d
-			digest += g
-		}
-	}
+	data, digest := r.poolOutstanding()
 	reg.Gauge("pool_outstanding", "pool", "data").Set(int64(data))
 	reg.Gauge("pool_outstanding", "pool", "push_digest").Set(int64(digest))
-	if r.tracer != nil {
+	if r.traceAll {
 		reg.Counter("trace_events_total").Add(r.tracer.Total())
 	}
 	if rep.Consenters > 0 {

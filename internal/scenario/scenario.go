@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"fabricgossip/internal/harness"
+	"fabricgossip/internal/obs"
 	"fabricgossip/internal/wire"
 	"fabricgossip/internal/workload"
 )
@@ -275,7 +276,7 @@ type CrashConsenterLeader struct{}
 
 func (a CrashConsenterLeader) apply(r *runner) {
 	if l := r.net.ConsenterLeader(); l >= 0 {
-		r.tracef("consenter leader is %d", l)
+		r.emitCtl(obs.Event{At: r.net.Engine.Now(), Kind: obs.EvConsenterLeader, Node: int32(l), Peer: -1})
 		r.net.CrashConsenter(l)
 	}
 }
