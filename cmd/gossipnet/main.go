@@ -15,7 +15,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"sync"
 	"time"
 
 	"fabricgossip/internal/gossip"
@@ -45,7 +44,7 @@ func main() {
 
 // serveMetrics exposes reg in Prometheus text format at /metrics. The
 // registry is concurrent (mutex-backed instruments), so scrapes race
-// safely with the endpoints' send/receive paths.
+// safely with the event loop's send/receive paths.
 func serveMetrics(addr string, reg *obs.Registry) (net.Listener, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -70,13 +69,18 @@ func run(nPeers, nBlocks, fout int, interval time.Duration, metricsAddr string) 
 	fmt.Printf("starting %d TCP peers: fout=%d TTL=%d TTLdirect=%d\n",
 		nPeers, cfg.Fout, cfg.TTL, cfg.TTLDirect)
 
+	// One event loop runs every peer's protocol code, exactly as the
+	// engine does in the simulator: timers, inbound frames and the
+	// orderer's injections below all execute on it, one at a time. Only
+	// the endpoints' reader and writer goroutines live outside it.
+	loop := sim.NewRealScheduler()
+	defer loop.Close()
 	book := transport.StaticAddressBook{}
-	traffic := netmodel.NewTraffic(time.Second)
-	sched := sim.NewRealScheduler()
-	defer sched.Close()
+	traffic := netmodel.NewSimTraffic(time.Second)
 
-	// The live runtime shares one concurrent registry across all endpoint
-	// goroutines; the simulator uses shard-local registries instead.
+	// The HTTP scrape reads the registry concurrently with the loop, so it
+	// is the concurrent (mutex-backed) kind; the simulator uses shard-local
+	// registries instead.
 	var wobs *transport.WireObs
 	if metricsAddr != "" {
 		reg := obs.NewConcurrentRegistry()
@@ -89,10 +93,10 @@ func run(nPeers, nBlocks, fout int, interval time.Duration, metricsAddr string) 
 	}
 
 	// Bring up endpoints first so the address book is complete before any
-	// gossip starts.
-	endpoints := make([]*transport.TCPEndpoint, nPeers)
-	for i := 0; i < nPeers; i++ {
-		ep, err := transport.ListenTCP(wire.NodeID(i), "127.0.0.1:0", book, traffic)
+	// gossip starts. An extra endpoint plays the ordering service.
+	endpoints := make([]*transport.TCPEndpoint, nPeers+1)
+	for i := range endpoints {
+		ep, err := transport.ListenTCP(wire.NodeID(i), "127.0.0.1:0", book, loop, traffic)
 		if err != nil {
 			return err
 		}
@@ -103,45 +107,45 @@ func run(nPeers, nBlocks, fout int, interval time.Duration, metricsAddr string) 
 		}
 		book[wire.NodeID(i)] = ep.Addr()
 	}
+	orderer := endpoints[nPeers]
 
 	peerIDs := make([]wire.NodeID, nPeers)
 	for i := range peerIDs {
 		peerIDs[i] = wire.NodeID(i)
 	}
 
-	var mu sync.Mutex
+	// firstSeen and received are loop-owned; done closes on the loop once
+	// every peer holds every block.
 	firstSeen := make([]map[uint64]time.Duration, nPeers)
+	received := 0
+	done := make(chan struct{})
 	cores := make([]*gossip.Core, nPeers)
-	for i := 0; i < nPeers; i++ {
-		gcfg := gossip.DefaultConfig(peerIDs[i], peerIDs)
-		core := gossip.New(gcfg, endpoints[i], sched, sim.NewRand(int64(i)+1), enhanced.New(cfg))
-		idx := i
-		firstSeen[idx] = make(map[uint64]time.Duration)
-		core.OnFirstReception(func(b *ledger.Block, at time.Duration) {
-			mu.Lock()
-			firstSeen[idx][b.Num] = at
-			mu.Unlock()
-		})
-		cores[i] = core
-		core.Start()
-	}
-	defer func() {
+	loop.Do(func() {
+		for i := range cores {
+			gcfg := gossip.DefaultConfig(peerIDs[i], peerIDs)
+			core := gossip.New(gcfg, endpoints[i], loop, sim.NewRand(int64(i)+1), enhanced.New(cfg))
+			seen := make(map[uint64]time.Duration)
+			firstSeen[i] = seen
+			core.OnFirstReception(func(b *ledger.Block, at time.Duration) {
+				seen[b.Num] = at
+				if received++; received == nPeers*nBlocks {
+					close(done)
+				}
+			})
+			cores[i] = core
+			core.Start()
+		}
+	})
+	defer loop.Do(func() {
 		for _, c := range cores {
 			c.Stop()
 		}
-	}()
-
-	// An extra endpoint plays the ordering service.
-	orderer, err := transport.ListenTCP(wire.NodeID(nPeers), "127.0.0.1:0", book, traffic)
-	if err != nil {
-		return err
-	}
-	defer orderer.Close()
-	book[wire.NodeID(nPeers)] = orderer.Addr()
+	})
 
 	blocks := harness.BuildChain(nBlocks, 10, 1024, 7)
 	for _, b := range blocks {
-		if err := orderer.Send(0, &wire.DeliverBlock{Block: b}); err != nil {
+		loop.Do(func() { err = orderer.Send(0, &wire.DeliverBlock{Block: b}) })
+		if err != nil {
 			return err
 		}
 		time.Sleep(interval)
@@ -149,35 +153,31 @@ func run(nPeers, nBlocks, fout int, interval time.Duration, metricsAddr string) 
 
 	// Wait until every peer holds every block (push phase is sub-second;
 	// this is just a safety deadline).
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		done := true
-		mu.Lock()
-		for i := 0; i < nPeers && done; i++ {
-			done = len(firstSeen[i]) == nBlocks
-		}
-		mu.Unlock()
-		if done {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("dissemination incomplete after deadline")
-		}
-		time.Sleep(20 * time.Millisecond)
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		return fmt.Errorf("dissemination incomplete after deadline")
 	}
 
 	rec := metrics.NewLatencyRecorder()
-	mu.Lock()
-	for _, b := range blocks {
-		start := firstSeen[0][b.Num]
-		for i := 1; i < nPeers; i++ {
-			rec.Record(b.Num, wire.NodeID(i), firstSeen[i][b.Num]-start)
+	var dataSends uint64
+	var dropped uint64
+	loop.Do(func() {
+		for _, b := range blocks {
+			start := firstSeen[0][b.Num]
+			for i := 1; i < nPeers; i++ {
+				rec.Record(b.Num, wire.NodeID(i), firstSeen[i][b.Num]-start)
+			}
 		}
-	}
-	mu.Unlock()
+		dataSends = traffic.CountOf(wire.TypeData)
+		for _, ep := range endpoints {
+			dropped += ep.Dropped()
+		}
+	})
 	fmt.Printf("disseminated %d blocks to %d peers over TCP\n", nBlocks, nPeers)
 	fmt.Printf("latency: %v\n", metrics.Summarize(rec.All()))
 	fmt.Printf("full-block transmissions: %d (n-1 per block would be %d)\n",
-		traffic.CountOf(wire.TypeData), (nPeers-1)*nBlocks)
+		dataSends, (nPeers-1)*nBlocks)
+	fmt.Printf("frames dropped by send queues: %d\n", dropped)
 	return nil
 }

@@ -1,7 +1,6 @@
 package gossip
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -11,11 +10,10 @@ import (
 	"fabricgossip/internal/wire"
 )
 
-// fakeEndpoint is an in-memory transport.Endpoint capturing sends.
+// fakeEndpoint is an in-memory transport.Endpoint capturing sends. Like
+// the core it serves, it is owned by the core's scheduler goroutine.
 type fakeEndpoint struct {
-	id wire.NodeID
-
-	mu      sync.Mutex
+	id      wire.NodeID
 	handler func(wire.NodeID, wire.Message)
 	sent    []sentMsg
 }
@@ -28,28 +26,15 @@ type sentMsg struct {
 func (f *fakeEndpoint) ID() wire.NodeID { return f.id }
 
 func (f *fakeEndpoint) Send(to wire.NodeID, msg wire.Message) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.sent = append(f.sent, sentMsg{to, msg})
 	return nil
 }
 
-func (f *fakeEndpoint) SetHandler(h transport.Handler) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.handler = h
-}
+func (f *fakeEndpoint) SetHandler(h transport.Handler) { f.handler = h }
 
-func (f *fakeEndpoint) deliver(from wire.NodeID, msg wire.Message) {
-	f.mu.Lock()
-	h := f.handler
-	f.mu.Unlock()
-	h(from, msg)
-}
+func (f *fakeEndpoint) deliver(from wire.NodeID, msg wire.Message) { f.handler(from, msg) }
 
 func (f *fakeEndpoint) sends() []sentMsg {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	out := make([]sentMsg, len(f.sent))
 	copy(out, f.sent)
 	return out
@@ -281,8 +266,10 @@ func TestStoppedCoreIgnoresTraffic(t *testing.T) {
 	}
 }
 
-// TestRealSchedulerPeriodicTimers exercises the live-runtime rearming timer
-// path (everyTimer on a non-engine scheduler), which cmd/gossipnet uses.
+// TestRealSchedulerPeriodicTimers runs a core's periodic ticks on the
+// wall-clock event loop, which cmd/gossipnet uses. Start and Stop run on the
+// loop like every other call into the core, so Stop is exact: no tick may
+// land after it.
 func TestRealSchedulerPeriodicTimers(t *testing.T) {
 	sched := sim.NewRealScheduler()
 	defer sched.Close()
@@ -293,21 +280,25 @@ func TestRealSchedulerPeriodicTimers(t *testing.T) {
 	cfg.AliveInterval = 0
 	cfg.RecoveryInterval = 0
 	core := New(cfg, ep, sched, sim.NewRand(1), &nullProtocol{})
-	core.Start()
+	sched.Post(core.Start)
+	sent := func() (n int) {
+		sched.Do(func() { n = len(ep.sent) })
+		return n
+	}
 	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		if len(ep.sends()) >= 3 {
-			break
-		}
+	for time.Now().Before(deadline) && sent() < 3 {
 		time.Sleep(5 * time.Millisecond)
 	}
-	core.Stop()
-	if len(ep.sends()) < 3 {
-		t.Fatalf("periodic state info fired %d times, want >= 3", len(ep.sends()))
+	var n int
+	sched.Do(func() {
+		core.Stop()
+		n = len(ep.sent)
+	})
+	if n < 3 {
+		t.Fatalf("periodic state info fired %d times, want >= 3", n)
 	}
-	n := len(ep.sends())
 	time.Sleep(50 * time.Millisecond)
-	if len(ep.sends()) > n+1 { // one in-flight firing may land post-Stop
-		t.Fatal("timers kept firing after Stop")
+	if got := sent(); got != n {
+		t.Fatalf("%d ticks landed after Stop", got-n)
 	}
 }

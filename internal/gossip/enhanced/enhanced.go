@@ -14,7 +14,6 @@ package enhanced
 import (
 	"math"
 	"math/bits"
-	"sync"
 	"time"
 
 	"fabricgossip/internal/analysis"
@@ -132,9 +131,7 @@ type blockState struct {
 // Protocol is the enhanced disseminator.
 type Protocol struct {
 	cfg Config
-
-	mu sync.Mutex
-	c  *gossip.Core
+	c   *gossip.Core
 
 	// blocks is the dense per-block tracking state: blocks[i] tracks block
 	// number blockBase+i. pruneBelow advances blockBase and shifts the
@@ -159,23 +156,18 @@ type Protocol struct {
 	pushTimer simTimer
 
 	// sampleBuf is the spread path's reusable fan-out sample and
-	// digestSpreads handleDigest's staged new-pair scratch. Both are
-	// reused only on the single-threaded simulated runtime (reuse), where
-	// message handlers are serialized by the engine; the TCP runtime's
-	// concurrent handlers allocate fresh slices instead. Neither is ever
-	// part of an outbound message — in-flight messages must not alias
-	// reused memory.
+	// digestSpreads handleDigest's new-pair scratch. Neither is ever part
+	// of an outbound message — in-flight messages must not alias reused
+	// memory.
 	sampleBuf     []wire.NodeID
 	digestSpreads []wire.BlockOffer
-	reuse         bool
 
-	// dataPool/digestPool recycle outbound envelopes on the simulated
-	// runtime: an envelope is drawn with its reference count preset to the
-	// fan-out and returns to the free list when the transport terminates
-	// its last delivery (see wire.Releasable). This kills the last per-
-	// spread heap churn of the push path. The TCP runtime allocates plain
-	// envelopes instead — its transport encodes rather than retains them,
-	// so there is no release point.
+	// dataPool/digestPool recycle outbound envelopes: an envelope is drawn
+	// with its reference count preset to the fan-out and returns to the
+	// free list when the transport terminates its last delivery (see
+	// wire.Releasable) — the simulated transport at delivery or drop, the
+	// TCP transport once the frame is encoded. This kills the last
+	// per-spread heap churn of the push path.
 	dataPool   wire.DataPool
 	digestPool wire.PushDigestPool
 
@@ -190,9 +182,9 @@ func New(cfg Config) *Protocol {
 	return &Protocol{cfg: cfg}
 }
 
-// state returns block num's tracking slot, creating it if needed. Callers
-// hold mu; the pointer must not outlive the critical section (growing the
-// dense slice moves it).
+// state returns block num's tracking slot, creating it if needed. The
+// pointer must not be held across another state call (growing the dense
+// slice moves it).
 func (p *Protocol) state(num uint64) *blockState {
 	if num < p.blockBase {
 		st := p.stale[num]
@@ -213,7 +205,6 @@ func (p *Protocol) state(num uint64) *blockState {
 }
 
 // peek returns block num's tracking slot or nil, without creating one.
-// Callers hold mu.
 func (p *Protocol) peek(num uint64) *blockState {
 	if num < p.blockBase {
 		return p.stale[num]
@@ -233,23 +224,14 @@ func (p *Protocol) Name() string { return "enhanced" }
 // send was issued without a matching release. The scenario runner asserts
 // this after every catalog run.
 func (p *Protocol) PoolOutstanding() (data, digest int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.dataPool.Outstanding(), p.digestPool.Outstanding()
 }
 
 // Start implements gossip.Protocol.
-func (p *Protocol) Start(c *gossip.Core) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.c = c
-	p.reuse = c.SingleThreaded()
-}
+func (p *Protocol) Start(c *gossip.Core) { p.c = c }
 
 // Stop implements gossip.Protocol.
 func (p *Protocol) Stop() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.stopped = true
 	if p.pushTimer != nil {
 		p.pushTimer.Stop()
@@ -264,36 +246,22 @@ func (p *Protocol) Stop() {
 // organization (paper §IV, "randomization of the initial gossiper").
 func (p *Protocol) OnOrdererBlock(b *ledger.Block) {
 	p.c.AddBlock(b)
-	p.mu.Lock()
 	p.markSeen(b.Num, 0)
-	p.mu.Unlock()
-	targets := p.sample(p.cfg.FLeaderOut)
+	p.sampleBuf = p.c.RandomPeersInto(p.cfg.FLeaderOut, p.sampleBuf)
+	p.sendData(b, 0, p.sampleBuf)
+}
+
+// sendData ships block b with the given hop counter to every target in one
+// pooled envelope. Its reference count is fixed before the first send —
+// the transport may release mid-loop when a copy drops.
+func (p *Protocol) sendData(b *ledger.Block, counter uint32, targets []wire.NodeID) {
 	if len(targets) == 0 {
 		return
 	}
-	msg := p.newData(b, 0, len(targets))
+	msg := p.dataPool.Get(b, counter, len(targets))
 	for _, t := range targets {
 		p.c.Send(t, msg)
 	}
-}
-
-// newData returns an outbound body envelope good for refs deliveries:
-// pooled on the simulated runtime, freshly allocated on the TCP runtime.
-// refs must be fixed before the first send — the transport may release
-// mid-loop when a copy drops.
-func (p *Protocol) newData(b *ledger.Block, counter uint32, refs int) *wire.Data {
-	if p.reuse {
-		return p.dataPool.Get(b, counter, refs)
-	}
-	return &wire.Data{Block: b, Counter: counter}
-}
-
-// newDigest is newData for digest envelopes; the caller appends Offers.
-func (p *Protocol) newDigest(refs int) *wire.PushDigest {
-	if p.reuse {
-		return p.digestPool.Get(refs)
-	}
-	return &wire.PushDigest{}
 }
 
 // Handle implements gossip.Protocol.
@@ -315,12 +283,10 @@ func (p *Protocol) Handle(from wire.NodeID, msg wire.Message) bool {
 // satisfy queued body requests, and old epidemic state is pruned against
 // the advancing ledger height.
 func (p *Protocol) OnBlockStored(b *ledger.Block) {
-	p.mu.Lock()
 	serves := p.serves[b.Num]
 	delete(p.serves, b.Num)
-	p.mu.Unlock()
 	for _, s := range serves {
-		p.c.Send(s.to, p.newData(b, s.counter, 1))
+		p.c.Send(s.to, p.dataPool.Get(b, s.counter, 1))
 	}
 	p.pruneBelow(p.c.Height())
 }
@@ -336,13 +302,11 @@ func (p *Protocol) pruneBelow(height uint64) {
 		return
 	}
 	floor := height - retention
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	// A queued serve is dropped with its block's tracking state; one for a
 	// block never seen here (possible after a peer re-requests across our
 	// earlier prune) stays queued, exactly as the map layout behaved.
 	for num := range p.serves {
-		if num < floor && p.trackedLocked(num) {
+		if num < floor && p.tracked(num) {
 			delete(p.serves, num)
 		}
 	}
@@ -368,9 +332,8 @@ func (p *Protocol) pruneBelow(height uint64) {
 	}
 }
 
-// trackedLocked reports whether block num has recorded any (block, counter)
-// pair. Callers hold mu.
-func (p *Protocol) trackedLocked(num uint64) bool {
+// tracked reports whether block num has recorded any (block, counter) pair.
+func (p *Protocol) tracked(num uint64) bool {
 	if st := p.peek(num); st != nil && st.seen != 0 {
 		return true
 	}
@@ -380,8 +343,6 @@ func (p *Protocol) trackedLocked(num uint64) bool {
 // TrackedBlocks reports how many blocks have live epidemic state
 // (test/diagnostic hook).
 func (p *Protocol) TrackedBlocks() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	n := 0
 	for i := range p.blocks {
 		if p.blocks[i].seen != 0 {
@@ -406,22 +367,17 @@ func (p *Protocol) TrackedBlocks() int {
 
 func (p *Protocol) handleData(m *wire.Data) {
 	p.c.AddBlock(m.Block)
-	p.mu.Lock()
-	first := p.markSeen(m.Block.Num, m.Counter)
-	p.mu.Unlock()
-	if first {
+	if p.markSeen(m.Block.Num, m.Counter) {
 		p.spread(m.Block.Num, m.Counter)
 	}
 }
 
+// handleDigest marks every offered pair and requests missing bodies before
+// forwarding any new pair, so the request goes out ahead of the spreads.
 func (p *Protocol) handleDigest(from wire.NodeID, m *wire.PushDigest) {
 	now := p.c.Scheduler().Now()
 	var wantNums []uint64 // becomes the PushRequest payload: never reused
-	var spreads []wire.BlockOffer
-	p.mu.Lock()
-	if p.reuse {
-		spreads = p.digestSpreads[:0]
-	}
+	spreads := p.digestSpreads[:0]
 	for _, o := range m.Offers {
 		if p.markSeen(o.Num, o.Counter) {
 			spreads = append(spreads, o)
@@ -434,10 +390,7 @@ func (p *Protocol) handleDigest(from wire.NodeID, m *wire.PushDigest) {
 			}
 		}
 	}
-	if p.reuse {
-		p.digestSpreads = spreads
-	}
-	p.mu.Unlock()
+	p.digestSpreads = spreads
 	if len(wantNums) > 0 {
 		p.c.Send(from, &wire.PushRequest{Nums: wantNums})
 	}
@@ -451,7 +404,6 @@ func (p *Protocol) handleDigest(from wire.NodeID, m *wire.PushDigest) {
 
 func (p *Protocol) handleRequest(from wire.NodeID, m *wire.PushRequest) {
 	for _, num := range m.Nums {
-		p.mu.Lock()
 		counter := p.cfg.TTL // conservative: do not extend the epidemic
 		if st := p.peek(num); st != nil && st.lastOffered != 0 {
 			counter = st.lastOffered - 1
@@ -464,15 +416,13 @@ func (p *Protocol) handleRequest(from wire.NodeID, m *wire.PushRequest) {
 				p.serves = make(map[uint64][]pendingServe)
 			}
 			p.serves[num] = append(p.serves[num], pendingServe{to: from, counter: counter})
-			p.mu.Unlock()
 			continue
 		}
-		p.mu.Unlock()
-		p.c.Send(from, p.newData(b, counter, 1))
+		p.c.Send(from, p.dataPool.Get(b, counter, 1))
 	}
 }
 
-// markSeen records the pair and reports whether it was new. Callers hold mu.
+// markSeen records the pair and reports whether it was new.
 func (p *Protocol) markSeen(num uint64, counter uint32) bool {
 	if p.stopped {
 		return false
@@ -522,47 +472,31 @@ func (p *Protocol) spread(num uint64, received uint32) {
 		p.bufferSpread(wire.BlockOffer{Num: num, Counter: next})
 		return
 	}
-	p.forward(wire.BlockOffer{Num: num, Counter: next}, p.sample(p.cfg.Fout))
-}
-
-// sample draws the fan-out targets, through the reusable buffer on the
-// single-threaded runtime. The result is consumed (sent to) before any
-// other sample call, so reuse is safe there; concurrent TCP handlers get a
-// fresh slice.
-func (p *Protocol) sample(k int) []wire.NodeID {
-	if !p.reuse {
-		return p.c.RandomPeers(k)
-	}
-	p.sampleBuf = p.c.RandomPeersInto(k, p.sampleBuf)
-	return p.sampleBuf
+	p.sampleBuf = p.c.RandomPeersInto(p.cfg.Fout, p.sampleBuf)
+	p.forward(wire.BlockOffer{Num: num, Counter: next}, p.sampleBuf)
 }
 
 func (p *Protocol) bufferSpread(o wire.BlockOffer) {
-	p.mu.Lock()
 	if p.stopped {
-		p.mu.Unlock()
 		return
 	}
 	p.pushBuf = append(p.pushBuf, o)
 	if p.pushTimer == nil {
 		p.pushTimer = p.c.Scheduler().After(p.cfg.TPush, p.flushSpread)
 	}
-	p.mu.Unlock()
 }
 
 func (p *Protocol) flushSpread() {
-	p.mu.Lock()
 	buf := p.pushBuf
 	p.pushBuf = nil
 	p.pushTimer = nil
-	p.mu.Unlock()
 	if len(buf) == 0 {
 		return
 	}
 	// The bias: one sample for every buffered pair.
-	targets := p.sample(p.cfg.Fout)
+	p.sampleBuf = p.c.RandomPeersInto(p.cfg.Fout, p.sampleBuf)
 	for _, o := range buf {
-		p.forward(o, targets)
+		p.forward(o, p.sampleBuf)
 	}
 }
 
@@ -573,10 +507,8 @@ func (p *Protocol) forward(o wire.BlockOffer, targets []wire.NodeID) {
 	}
 	num, next := o.Num, o.Counter
 	if p.cfg.UseDigests && next > p.cfg.TTLDirect {
-		p.mu.Lock()
 		p.state(num).lastOffered = next + 1
-		p.mu.Unlock()
-		msg := p.newDigest(len(targets))
+		msg := p.digestPool.Get(len(targets))
 		msg.Offers = append(msg.Offers, wire.BlockOffer{Num: num, Counter: next})
 		for _, t := range targets {
 			p.c.Send(t, msg)
@@ -585,21 +517,14 @@ func (p *Protocol) forward(o wire.BlockOffer, targets []wire.NodeID) {
 	}
 	// Direct hop: the body is guaranteed present, because counters at or
 	// below TTLdirect only ever travel with the body.
-	b := p.c.Block(num)
-	if b == nil {
-		return
-	}
-	msg := p.newData(b, next, len(targets))
-	for _, t := range targets {
-		p.c.Send(t, msg)
+	if b := p.c.Block(num); b != nil {
+		p.sendData(b, next, targets)
 	}
 }
 
 // SeenPairs returns how many (block, counter) pairs have been observed for
 // block num (test/diagnostic hook).
 func (p *Protocol) SeenPairs(num uint64) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	n := 0
 	if st := p.peek(num); st != nil {
 		n += bits.OnesCount64(st.seen)

@@ -25,7 +25,7 @@ type net struct {
 func build(t *testing.T, n int, cfg Config, seed int64) *net {
 	t.Helper()
 	e := sim.NewEngine(seed)
-	tr := netmodel.NewTraffic(time.Second)
+	tr := netmodel.NewSimTraffic(time.Second)
 	w := &net{engine: e, traffic: tr}
 	w.sim = transport.NewSimNetwork(e, netmodel.Model{PropMin: time.Millisecond, PropMax: 2 * time.Millisecond}, tr)
 	ids := make([]wire.NodeID, n)
@@ -181,7 +181,7 @@ func TestDigestBeforeBodyIsServedOnArrival(t *testing.T) {
 	// that offered a block it does not hold yet must serve the body as
 	// soon as it arrives.
 	e := sim.NewEngine(6)
-	tr := netmodel.NewTraffic(time.Second)
+	tr := netmodel.NewSimTraffic(time.Second)
 	simnet := transport.NewSimNetwork(e, netmodel.Model{PropMin: time.Millisecond, PropMax: time.Millisecond}, tr)
 	ids := []wire.NodeID{0, 1}
 	cfg, _ := ConfigFor(10, 2, 1e-3, 0) // digests from the first hop
@@ -220,7 +220,7 @@ func TestRequestTimeoutAllowsReRequest(t *testing.T) {
 	cfg, _ := ConfigFor(10, 2, 1e-3, 0)
 	cfg.RequestTimeout = 50 * time.Millisecond
 	e := sim.NewEngine(7)
-	tr := netmodel.NewTraffic(time.Second)
+	tr := netmodel.NewSimTraffic(time.Second)
 	simnet := transport.NewSimNetwork(e, netmodel.Model{PropMin: time.Millisecond, PropMax: time.Millisecond}, tr)
 	ids := []wire.NodeID{0, 1, 2}
 	var protos []*Protocol

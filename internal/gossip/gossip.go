@@ -15,7 +15,7 @@
 package gossip
 
 import (
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"fabricgossip/internal/ledger"
@@ -123,9 +123,8 @@ func DefaultConfig(self wire.NodeID, peers []wire.NodeID) Config {
 	}
 }
 
-// Core is the per-peer gossip state shared by both protocol variants. All
-// exported methods are safe for concurrent use (required by the TCP
-// runtime; the simulated runtime is single-threaded anyway).
+// Core is the per-peer gossip state shared by both protocol variants. It
+// runs on its scheduler's goroutine (see sim.Scheduler).
 type Core struct {
 	cfg   Config
 	ep    transport.Endpoint
@@ -133,7 +132,6 @@ type Core struct {
 	rng   *sim.Rand
 	proto Protocol
 
-	mu sync.Mutex
 	// blocks is the stored-bodies index, dense by block number (nil =
 	// absent): ledger numbers are a contiguous sequence from genesis, so a
 	// slice holds the whole store in one pointer per block where a map
@@ -150,23 +148,21 @@ type Core struct {
 	// view is the membership plane (internal/membership): the live/dead
 	// state machine behind LivePeers, LeaderPeer and the statesync dead
 	// filter, plus — when configured — the SWIM piggyback/suspicion/
-	// shuffle machinery. It locks internally and is called with mu
-	// released.
+	// shuffle machinery.
 	view *membership.View
 	// shuffleRng is the membership plane's own random stream, seeded from
-	// the core stream once at construction (and only when shuffling is
-	// enabled, so legacy configurations consume the shared stream
-	// identically). The shuffle timer is its sole user: sharing c.rng
-	// would race it against the other periodic ticks on the wall-clock
-	// runtime, where timer callbacks run on separate goroutines under
-	// different locks.
+	// the core stream once at construction and only when shuffling is
+	// enabled. It exists for stream isolation, which keeps legacy rng
+	// consumption identical: configurations without the shuffle consume
+	// the core stream exactly as before the shuffle existed, and with it
+	// the per-round shuffle draws never interleave with the core's peer
+	// sampling.
 	shuffleRng *sim.Rand
 
 	// fetcher/provider form the statesync engine the core delegates the
 	// recovery plane to: the fetcher owns the advertised-heights view,
 	// request targeting and anchor probing; the provider serves requests
-	// from frozen block batches. Both are called only with mu released
-	// (they lock internally and call back into the core's accessors).
+	// from frozen block batches. Both call back into the core's accessors.
 	fetcher  *statesync.Fetcher
 	provider *statesync.Provider
 
@@ -194,8 +190,7 @@ type Core struct {
 	// ovIdx/ovVal are range mode's sampling overlay: the ≤k positions of
 	// the virtual candidate list displaced mid-draw by the partial
 	// Fisher-Yates walk (see RandomPeersInto). Cleared after every draw;
-	// capacity is retained so steady-state draws allocate nothing. Guarded
-	// by mu.
+	// capacity is retained so steady-state draws allocate nothing.
 	ovIdx []int
 	ovVal []wire.NodeID
 
@@ -203,15 +198,13 @@ type Core struct {
 	// peer lists only): RandomPeers samples in place with k swaps that are
 	// undone after the draw, so every call sees the same canonical order
 	// (the determinism contract) without rebuilding an O(n) candidate
-	// slice per tick. swapIdx records the swap targets to undo; both are
-	// guarded by mu.
+	// slice per tick. swapIdx records the swap targets to undo.
 	others  []wire.NodeID
 	swapIdx []int
 
 	// stateInfoPeers/alivePeers are the periodic ticks' reusable sampling
-	// buffers: each is owned exclusively by its tick (periodic timers never
-	// overlap themselves on either runtime), so the steady-state tick path
-	// allocates nothing for peer sampling.
+	// buffers, so the steady-state tick path allocates nothing for peer
+	// sampling.
 	stateInfoPeers []wire.NodeID
 	alivePeers     []wire.NodeID
 
@@ -360,103 +353,36 @@ func (c *Core) Proto() Protocol { return c.proto }
 // Start arms the periodic state-info, alive and recovery timers and starts
 // the protocol.
 func (c *Core) Start() {
-	c.mu.Lock()
 	if c.started {
-		c.mu.Unlock()
 		return
 	}
 	c.started = true
 	if c.cfg.StateInfoInterval > 0 {
-		c.timers = append(c.timers, everyTimer(c.sched, c.cfg.StateInfoInterval, c.stateInfoTick))
+		c.timers = append(c.timers, c.sched.Every(c.cfg.StateInfoInterval, c.stateInfoTick))
 	}
 	if c.cfg.AliveInterval > 0 {
-		c.timers = append(c.timers, everyTimer(c.sched, c.cfg.AliveInterval, c.aliveTick))
+		c.timers = append(c.timers, c.sched.Every(c.cfg.AliveInterval, c.aliveTick))
 	}
 	if c.cfg.RecoveryInterval > 0 {
-		c.timers = append(c.timers, everyTimer(c.sched, c.cfg.RecoveryInterval, c.fetcher.Tick))
+		c.timers = append(c.timers, c.sched.Every(c.cfg.RecoveryInterval, c.fetcher.Tick))
 	}
 	if c.cfg.AnchorInterval > 0 && len(c.cfg.AnchorPeers) > 0 {
-		c.timers = append(c.timers, everyTimer(c.sched, c.cfg.AnchorInterval, c.fetcher.AnchorTick))
+		c.timers = append(c.timers, c.sched.Every(c.cfg.AnchorInterval, c.fetcher.AnchorTick))
 	}
 	if c.cfg.ShuffleInterval > 0 {
-		c.timers = append(c.timers, everyTimer(c.sched, c.cfg.ShuffleInterval, c.shuffleTick))
+		c.timers = append(c.timers, c.sched.Every(c.cfg.ShuffleInterval, c.shuffleTick))
 	}
-	c.mu.Unlock()
 	c.proto.Start(c)
 }
 
 // Stop cancels all timers (core and protocol).
 func (c *Core) Stop() {
-	c.mu.Lock()
 	c.stopped = true
-	timers := c.timers
-	c.timers = nil
-	c.mu.Unlock()
-	for _, t := range timers {
+	for _, t := range c.timers {
 		t.Stop()
 	}
+	c.timers = nil
 	c.proto.Stop()
-}
-
-// everyTimer emulates sim.Engine.Every on any Scheduler so the core works
-// on both runtimes.
-func everyTimer(sched sim.Scheduler, interval time.Duration, fn func()) sim.Timer {
-	if e, ok := sched.(*sim.Engine); ok {
-		return e.Every(interval, fn)
-	}
-	p := &rearming{sched: sched, interval: interval, fn: fn, deadline: sched.Now()}
-	p.arm()
-	return p
-}
-
-// rearming is a fixed-rate periodic timer for schedulers without a native
-// Every. Each tick re-arms relative to the previous deadline — not the
-// instant the callback returned — matching sim.Engine.Every's contract: on
-// RealScheduler the callback's own run time must not accumulate as drift
-// across ticks.
-type rearming struct {
-	sched    sim.Scheduler
-	interval time.Duration
-	fn       func()
-
-	mu       sync.Mutex
-	cur      sim.Timer
-	deadline time.Duration
-	stopped  bool
-}
-
-func (p *rearming) arm() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.stopped {
-		return
-	}
-	p.deadline += p.interval
-	// A callback that overran part of the interval yields a shortened
-	// delay, keeping ticks on the original grid. But if the schedule fell
-	// more than one whole interval behind (process stall, suspend), snap
-	// to now instead of firing a catch-up burst of every missed tick.
-	now := p.sched.Now()
-	if p.deadline+p.interval < now {
-		p.deadline = now
-	}
-	p.cur = p.sched.After(p.deadline-now, func() {
-		p.fn()
-		p.arm()
-	})
-}
-
-func (p *rearming) Stop() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.stopped {
-		return false
-	}
-	p.stopped = true
-	if p.cur != nil {
-		p.cur.Stop()
-	}
-	return true
 }
 
 // Send transmits a message to another peer. Errors are dropped: gossip is
@@ -493,19 +419,22 @@ func (c *Core) isMember(p wire.NodeID) bool {
 // sharedZeroMeta returns a zero-filled buffer of at least n bytes, shared
 // across every core: heartbeat padding is read-only on both runtimes (the
 // sim path shares the message value, the TCP path marshals it), so there
-// is no reason for each of 100k cores to hold its own copy.
-var (
-	zeroMetaMu sync.Mutex
-	zeroMeta   []byte
-)
+// is no reason for each of 100k cores to hold its own copy. Cores on
+// different shard goroutines may ask concurrently; zero buffers are
+// interchangeable, so a lost race only costs one extra allocation.
+var zeroMeta atomic.Pointer[[]byte]
 
 func sharedZeroMeta(n int) []byte {
-	zeroMetaMu.Lock()
-	defer zeroMetaMu.Unlock()
-	if len(zeroMeta) < n {
-		zeroMeta = make([]byte, n)
+	for {
+		cur := zeroMeta.Load()
+		if cur != nil && len(*cur) >= n {
+			return (*cur)[:n]
+		}
+		buf := make([]byte, n)
+		if zeroMeta.CompareAndSwap(cur, &buf) {
+			return buf
+		}
 	}
-	return zeroMeta[:n]
 }
 
 // memberHost adapts Core to membership.Host: membership payloads go
@@ -522,16 +451,6 @@ func (h *memberHost) Rand() *sim.Rand { return h.shuffleRng }
 // result is freshly allocated; hot paths use RandomPeersInto with a
 // per-call-site buffer instead.
 func (c *Core) RandomPeers(k int) []wire.NodeID { return c.RandomPeersInto(k, nil) }
-
-// SingleThreaded reports whether the core runs on the discrete-event
-// engine, whose callbacks are serialized by construction. Protocols use it
-// to decide whether per-instance scratch buffers are safe to reuse across
-// message handlers (on the TCP runtime handlers can run concurrently, so
-// they must allocate instead).
-func (c *Core) SingleThreaded() bool {
-	_, ok := c.sched.(*sim.Engine)
-	return ok
-}
 
 // RandomPeersInto is RandomPeers sampling into buf's backing array (grown
 // if needed), so a periodic tick can reuse one buffer across rounds and
@@ -569,7 +488,6 @@ func (c *Core) RandomPeersInto(k int, buf []wire.NodeID) []wire.NodeID {
 	} else {
 		out = out[:k]
 	}
-	c.mu.Lock()
 	if c.rangeMode {
 		for i := 0; i < k; i++ {
 			j := i + c.rng.Intn(n-i)
@@ -583,7 +501,6 @@ func (c *Core) RandomPeersInto(k int, buf []wire.NodeID) []wire.NodeID {
 		}
 		c.ovIdx = c.ovIdx[:0]
 		c.ovVal = c.ovVal[:0]
-		c.mu.Unlock()
 		return out
 	}
 	cand := c.others
@@ -599,14 +516,13 @@ func (c *Core) RandomPeersInto(k int, buf []wire.NodeID) []wire.NodeID {
 		j := sw[i]
 		cand[i], cand[j] = cand[j], cand[i]
 	}
-	c.mu.Unlock()
 	return out
 }
 
 // overlayGet reads position pos of the virtual candidate list: a displaced
 // value from the overlay if the current draw moved one there, else the
 // canonical id at that position. The overlay holds at most fanout-many
-// entries, so the linear probe beats any map. Caller holds mu.
+// entries, so the linear probe beats any map.
 func (c *Core) overlayGet(pos int) wire.NodeID {
 	for i, idx := range c.ovIdx {
 		if idx == pos {
@@ -621,7 +537,7 @@ func (c *Core) overlayGet(pos int) wire.NodeID {
 }
 
 // overlaySet records that position pos of the virtual candidate list holds
-// val for the remainder of the current draw. Caller holds mu.
+// val for the remainder of the current draw.
 func (c *Core) overlaySet(pos int, val wire.NodeID) {
 	for i, idx := range c.ovIdx {
 		if idx == pos {
@@ -633,47 +549,25 @@ func (c *Core) overlaySet(pos int, val wire.NodeID) {
 	c.ovVal = append(c.ovVal, val)
 }
 
-// blockLocked returns the stored body of block num, or nil. Caller holds
-// mu.
-func (c *Core) blockLocked(num uint64) *ledger.Block {
+// HasBlock reports whether the body of block num is stored.
+func (c *Core) HasBlock(num uint64) bool { return c.Block(num) != nil }
+
+// Block returns the stored body of block num, or nil.
+func (c *Core) Block(num uint64) *ledger.Block {
 	if num < uint64(len(c.blocks)) {
 		return c.blocks[num]
 	}
 	return nil
 }
 
-// HasBlock reports whether the body of block num is stored.
-func (c *Core) HasBlock(num uint64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.blockLocked(num) != nil
-}
-
-// Block returns the stored body of block num, or nil.
-func (c *Core) Block(num uint64) *ledger.Block {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.blockLocked(num)
-}
-
 // Height returns the in-order ledger height (next needed block number).
-func (c *Core) Height() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.height
-}
+func (c *Core) Height() uint64 { return c.height }
 
 // AddBlock stores a block body. It returns true if the body is new. First
 // receptions fire the OnFirstReception hook; completed prefixes are handed
 // to OnCommit in order. The protocol's OnBlockStored runs for new bodies.
 func (c *Core) AddBlock(b *ledger.Block) bool {
-	c.mu.Lock()
-	if c.stopped {
-		c.mu.Unlock()
-		return false
-	}
-	if c.blockLocked(b.Num) != nil {
-		c.mu.Unlock()
+	if c.stopped || c.Block(b.Num) != nil {
 		return false
 	}
 	for uint64(len(c.blocks)) <= b.Num {
@@ -684,26 +578,19 @@ func (c *Core) AddBlock(b *ledger.Block) bool {
 		c.highest = b.Num
 		c.hasAny = true
 	}
-	var commits []*ledger.Block
-	for {
-		nb := c.blockLocked(c.height)
-		if nb == nil {
-			break
-		}
-		commits = append(commits, nb)
+	// The height covers the whole newly completed prefix before any hook
+	// runs, so hooks observe the final height.
+	start := c.height
+	for c.Block(c.height) != nil {
 		c.height++
 	}
-	first := c.onFirstReception
-	commitFns := c.onCommit
-	now := c.sched.Now()
-	c.mu.Unlock()
-
-	if first != nil {
-		first(b, now)
+	end := c.height
+	if fn := c.onFirstReception; fn != nil {
+		fn(b, c.sched.Now())
 	}
-	for _, cb := range commits {
-		for _, fn := range commitFns {
-			fn(cb)
+	for num := start; num < end; num++ {
+		for _, fn := range c.onCommit {
+			fn(c.blocks[num])
 		}
 	}
 	c.proto.OnBlockStored(b)
@@ -713,12 +600,9 @@ func (c *Core) AddBlock(b *ledger.Block) bool {
 // handleMessage dispatches inbound messages: shared types here, everything
 // else to the protocol.
 func (c *Core) handleMessage(from wire.NodeID, msg wire.Message) {
-	c.mu.Lock()
 	if c.stopped {
-		c.mu.Unlock()
 		return
 	}
-	c.mu.Unlock()
 	switch m := msg.(type) {
 	case *wire.StateInfo:
 		c.fetcher.Observe(from, m.Height)
@@ -753,10 +637,7 @@ func (c *Core) handleMessage(from wire.NodeID, msg wire.Message) {
 // --- periodic components ---
 
 func (c *Core) stateInfoTick() {
-	c.mu.Lock()
-	h := c.height
-	c.mu.Unlock()
-	msg := &wire.StateInfo{Height: h}
+	msg := &wire.StateInfo{Height: c.height}
 	c.stateInfoPeers = c.RandomPeersInto(c.cfg.StateInfoFanout, c.stateInfoPeers)
 	for _, p := range c.stateInfoPeers {
 		c.Send(p, msg)
@@ -765,11 +646,8 @@ func (c *Core) stateInfoTick() {
 
 func (c *Core) aliveTick() {
 	now := c.sched.Now()
-	c.mu.Lock()
 	c.aliveSeq++
 	seq := c.aliveSeq
-	fn := c.onPeerState
-	c.mu.Unlock()
 	c.view.NoteSelfSeq(seq)
 	dead := c.view.Sweep(now)
 	// Drop dead peers' advertised heights: recovery must not keep targeting
@@ -779,7 +657,7 @@ func (c *Core) aliveTick() {
 	for _, p := range dead {
 		c.fetcher.Forget(p)
 	}
-	if fn != nil {
+	if fn := c.onPeerState; fn != nil {
 		for _, p := range dead {
 			fn(p, false, now)
 		}
@@ -809,10 +687,8 @@ func (c *Core) refuteIfAccused() {
 	if !c.view.TakeAccusation() {
 		return
 	}
-	c.mu.Lock()
 	c.aliveSeq++
 	seq := c.aliveSeq
-	c.mu.Unlock()
 	c.view.QueueSelfAlive(seq)
 	msg := &wire.Alive{Seq: seq, Meta: c.aliveMeta}
 	for _, p := range c.RandomPeers(c.cfg.AliveFanout) {

@@ -43,7 +43,7 @@ func enhancedFactory(cfg enhanced.Config) protoFactory {
 func buildOrg(t *testing.T, seed int64, n int, factory protoFactory, tune func(*gossip.Config)) *org {
 	t.Helper()
 	e := sim.NewEngine(seed)
-	tr := netmodel.NewTraffic(time.Second)
+	tr := netmodel.NewSimTraffic(time.Second)
 	model := netmodel.Model{
 		BandwidthBytesPerSec: 125e6,
 		PropMin:              200 * time.Microsecond,

@@ -267,82 +267,6 @@ func TestAliveTickReusesMetaBuffer(t *testing.T) {
 	}
 }
 
-// fakeSched captures After calls so a test can fire them by hand with full
-// control of the clock.
-type fakeSched struct {
-	now    time.Duration
-	delays []time.Duration
-	cbs    []func()
-}
-
-func (f *fakeSched) Now() time.Duration { return f.now }
-func (f *fakeSched) After(d time.Duration, fn func()) sim.Timer {
-	f.delays = append(f.delays, d)
-	f.cbs = append(f.cbs, fn)
-	return fakeTimer{}
-}
-
-type fakeTimer struct{}
-
-func (fakeTimer) Stop() bool { return true }
-
-// The rearming fallback timer must re-arm relative to the previous
-// deadline, like sim.Engine.Every: a callback that takes 30ms must shorten
-// the next delay by 30ms instead of pushing every subsequent tick later.
-func TestRearmingTimerDoesNotAccumulateCallbackDrift(t *testing.T) {
-	f := &fakeSched{}
-	const interval = time.Second
-	everyTimer(f, interval, func() {
-		f.now += 30 * time.Millisecond // the callback itself takes 30ms
-	})
-	if len(f.delays) != 1 || f.delays[0] != interval {
-		t.Fatalf("first arm delay %v, want %v", f.delays, interval)
-	}
-
-	// Fire tick 1: it runs at its deadline, the callback consumes 30ms.
-	f.now = interval
-	f.cbs[0]()
-	if len(f.delays) != 2 {
-		t.Fatalf("tick did not re-arm: %d After calls", len(f.delays))
-	}
-	if want := interval - 30*time.Millisecond; f.delays[1] != want {
-		t.Fatalf("re-arm delay %v, want %v (compensating 30ms of callback time)", f.delays[1], want)
-	}
-
-	// Fire tick 2 slightly late on top of callback time: still anchored to
-	// the 2*interval grid point.
-	f.now = 2*interval + 5*time.Millisecond
-	f.cbs[1]()
-	if want := interval - 35*time.Millisecond; f.delays[2] != want {
-		t.Fatalf("re-arm delay %v, want %v (grid-anchored)", f.delays[2], want)
-	}
-}
-
-// A schedule that fell multiple intervals behind (process stall, suspend on
-// the real-time runtime) must snap to the present and fire one catch-up
-// tick, not a burst of every missed one.
-func TestRearmingTimerSnapsAfterLongStall(t *testing.T) {
-	f := &fakeSched{}
-	const interval = time.Second
-	everyTimer(f, interval, func() {})
-
-	// The process resumes 10 intervals late.
-	f.now = 10 * interval
-	f.cbs[0]()
-	if len(f.delays) != 2 {
-		t.Fatalf("tick did not re-arm: %d After calls", len(f.delays))
-	}
-	if f.delays[1] != 0 {
-		t.Fatalf("post-stall re-arm delay %v, want 0 (snap to now)", f.delays[1])
-	}
-	// The next tick runs on time; cadence is back to one interval with no
-	// further catch-up backlog.
-	f.cbs[1]()
-	if f.delays[2] != interval {
-		t.Fatalf("delay after snap %v, want %v", f.delays[2], interval)
-	}
-}
-
 // RandomPeersInto with a reused buffer must consume the random stream and
 // produce results identically to the allocating RandomPeers — buffer reuse
 // is a pure allocation optimization, or every checked-in fingerprint would

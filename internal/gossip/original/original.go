@@ -6,7 +6,6 @@
 package original
 
 import (
-	"sync"
 	"time"
 
 	"fabricgossip/internal/gossip"
@@ -52,9 +51,7 @@ func DefaultConfig() Config {
 // Protocol is the infect-and-die + pull disseminator.
 type Protocol struct {
 	cfg Config
-
-	mu sync.Mutex
-	c  *gossip.Core
+	c   *gossip.Core
 
 	// Push state: blocks waiting for the batching timer.
 	pushBuf   []*ledger.Block
@@ -69,24 +66,12 @@ type Protocol struct {
 	// avoid fetching the same body from several responders in one round.
 	requested map[uint64]time.Duration
 
-	// pullPeers/pullHellos are pullTick's reusable scratch (a periodic
-	// timer never overlaps itself, so the tick owns them exclusively on
-	// both runtimes). pushTargets is flushPush's sampling buffer, reused
-	// only on the single-threaded simulated runtime — on the TCP runtime
-	// concurrent Data handlers can race into flushPush, so it allocates.
+	// pullPeers and pushTargets are pullTick's and flushPush's reusable
+	// sampling buffers. Neither is ever part of an outbound message.
 	pullPeers   []wire.NodeID
-	pullHellos  []hello
 	pushTargets []wire.NodeID
-	reuse       bool
 
 	stopped bool
-}
-
-// hello is one outbound pull opening, staged so sends happen outside mu in
-// sampling order.
-type hello struct {
-	nonce uint64
-	to    wire.NodeID
 }
 
 // New returns an unstarted protocol instance.
@@ -103,10 +88,7 @@ func (p *Protocol) Name() string { return "original" }
 
 // Start implements gossip.Protocol.
 func (p *Protocol) Start(c *gossip.Core) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.c = c
-	p.reuse = c.SingleThreaded()
 	if p.cfg.TPull > 0 {
 		p.pullTimer = c.Scheduler().After(p.pullDelay(), p.pullTick)
 	}
@@ -121,8 +103,6 @@ func (p *Protocol) pullDelay() time.Duration {
 
 // Stop implements gossip.Protocol.
 func (p *Protocol) Stop() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.stopped = true
 	if p.pushTimer != nil {
 		p.pushTimer.Stop()
@@ -175,44 +155,31 @@ func (p *Protocol) Handle(from wire.NodeID, msg wire.Message) bool {
 // exactly the randomness bias the paper's enhanced protocol removes by
 // setting tpush = 0.
 func (p *Protocol) enqueuePush(b *ledger.Block) {
-	p.mu.Lock()
 	if p.stopped {
-		p.mu.Unlock()
 		return
 	}
 	p.pushBuf = append(p.pushBuf, b)
-	flushNow := p.cfg.TPush <= 0 || (p.cfg.PushBufferCap > 0 && len(p.pushBuf) >= p.cfg.PushBufferCap)
-	if !flushNow && p.pushTimer == nil {
-		p.pushTimer = p.c.Scheduler().After(p.cfg.TPush, p.flushPush)
-	}
-	p.mu.Unlock()
-	if flushNow {
+	if p.cfg.TPush <= 0 || (p.cfg.PushBufferCap > 0 && len(p.pushBuf) >= p.cfg.PushBufferCap) {
 		p.flushPush()
+	} else if p.pushTimer == nil {
+		p.pushTimer = p.c.Scheduler().After(p.cfg.TPush, p.flushPush)
 	}
 }
 
 func (p *Protocol) flushPush() {
-	p.mu.Lock()
 	buf := p.pushBuf
 	p.pushBuf = nil
 	if p.pushTimer != nil {
 		p.pushTimer.Stop()
 		p.pushTimer = nil
 	}
-	p.mu.Unlock()
 	if len(buf) == 0 {
 		return
 	}
-	var targets []wire.NodeID
-	if p.reuse {
-		p.pushTargets = p.c.RandomPeersInto(p.cfg.Fout, p.pushTargets)
-		targets = p.pushTargets
-	} else {
-		targets = p.c.RandomPeers(p.cfg.Fout)
-	}
+	p.pushTargets = p.c.RandomPeersInto(p.cfg.Fout, p.pushTargets)
 	for _, b := range buf {
 		msg := &wire.Data{Block: b}
-		for _, t := range targets {
+		for _, t := range p.pushTargets {
 			p.c.Send(t, msg)
 		}
 	}
@@ -221,9 +188,7 @@ func (p *Protocol) flushPush() {
 // --- pull ---
 
 func (p *Protocol) pullTick() {
-	p.mu.Lock()
 	if p.stopped {
-		p.mu.Unlock()
 		return
 	}
 	p.pullTimer = p.c.Scheduler().After(p.cfg.TPull, p.pullTick)
@@ -231,16 +196,10 @@ func (p *Protocol) pullTick() {
 	// Hellos go out in sampling order (a map here would randomize send
 	// order and with it the transport's delay draws, breaking run-to-run
 	// determinism).
-	hellos := p.pullHellos[:0]
 	for _, q := range p.pullPeers {
 		p.nextNonce++
 		p.pending[p.nextNonce] = q
-		hellos = append(hellos, hello{nonce: p.nextNonce, to: q})
-	}
-	p.pullHellos = hellos
-	p.mu.Unlock()
-	for _, h := range hellos {
-		p.c.Send(h.to, &wire.PullHello{Nonce: h.nonce})
+		p.c.Send(q, &wire.PullHello{Nonce: p.nextNonce})
 	}
 }
 
@@ -272,9 +231,7 @@ func (p *Protocol) servePullHello(from wire.NodeID, m *wire.PullHello) {
 // handlePullDigest requests the advertised bodies we lack and have not
 // requested recently.
 func (p *Protocol) handlePullDigest(from wire.NodeID, m *wire.PullDigest) {
-	p.mu.Lock()
 	if q, ok := p.pending[m.Nonce]; !ok || q != from {
-		p.mu.Unlock()
 		return // unsolicited or stale digest
 	}
 	delete(p.pending, m.Nonce)
@@ -290,7 +247,6 @@ func (p *Protocol) handlePullDigest(from wire.NodeID, m *wire.PullDigest) {
 		p.requested[num] = now
 		want = append(want, num)
 	}
-	p.mu.Unlock()
 	if len(want) > 0 {
 		p.c.Send(from, &wire.PullRequest{Nonce: m.Nonce, Nums: want})
 	}

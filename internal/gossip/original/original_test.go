@@ -24,7 +24,7 @@ type net struct {
 func build(t *testing.T, n int, cfg Config, seed int64) *net {
 	t.Helper()
 	e := sim.NewEngine(seed)
-	tr := netmodel.NewTraffic(time.Second)
+	tr := netmodel.NewSimTraffic(time.Second)
 	w := &net{engine: e, traffic: tr}
 	w.sim = transport.NewSimNetwork(e, netmodel.Model{PropMin: time.Millisecond, PropMax: 2 * time.Millisecond}, tr)
 	ids := make([]wire.NodeID, n)

@@ -37,7 +37,6 @@
 package membership
 
 import (
-	"sync"
 	"time"
 
 	"fabricgossip/internal/sim"
@@ -45,8 +44,7 @@ import (
 )
 
 // Host is the narrow view of a peer the membership engine needs.
-// gossip.Core implements it; all methods must be safe to call without
-// external locking.
+// gossip.Core implements it.
 type Host interface {
 	// Send transmits a membership payload to a peer (loss-tolerant).
 	// Implementations must hand the message straight to the transport —
@@ -164,14 +162,12 @@ type Stats struct {
 	DeadDeclared uint64
 }
 
-// View tracks which peers of the organization are believed alive. All
-// exported methods are safe for concurrent use (required by the TCP
-// runtime; the simulated runtime is single-threaded anyway).
+// View tracks which peers of the organization are believed alive. It runs
+// on its peer's scheduler goroutine (see sim.Scheduler).
 type View struct {
 	cfg  Config
 	host Host
 
-	mu sync.Mutex
 	// tracked holds every peer ever observed, in ascending id order: the
 	// deterministic iteration order for sweeps and samples, and the
 	// allocation-free scan behind Leader (the lowest live id is almost
@@ -235,8 +231,8 @@ func New(cfg Config, host Host) *View {
 // OnTransition installs the hook fired for live/dead transitions caused by
 // applying piggybacked or shuffled events (Observe and Sweep report their
 // transitions through return values instead, preserving the legacy call
-// pattern). The hook runs outside the view's lock and must not call back
-// into the view. Must be set before Start.
+// pattern). The hook runs once the whole batch is merged and must not call
+// back into the view. Must be set before Start.
 func (v *View) OnTransition(fn func(peer wire.NodeID, alive bool)) { v.onTransition = fn }
 
 // Config returns the view's configuration (after defaulting).
@@ -245,16 +241,14 @@ func (v *View) Config() Config { return v.cfg }
 // NoteSelfSeq records the core's current heartbeat sequence so shuffle
 // samples and refutations advertise fresh incarnations.
 func (v *View) NoteSelfSeq(seq uint64) {
-	v.mu.Lock()
 	if seq > v.selfSeq {
 		v.selfSeq = seq
 	}
-	v.mu.Unlock()
 }
 
 // track inserts peer into the sorted tracked slice and opens a zeroed slot
 // at the same position in every parallel state slice, returning the index.
-// Caller holds mu and guarantees the peer is not yet tracked.
+// Caller guarantees the peer is not yet tracked.
 func (v *View) track(peer wire.NodeID) int {
 	lo, hi := 0, len(v.tracked)
 	for lo < hi {
@@ -284,7 +278,7 @@ func (v *View) track(peer wire.NodeID) int {
 }
 
 // idxOf returns peer's index into tracked (and the parallel state slices),
-// or -1 if the peer was never observed. Caller holds mu.
+// or -1 if the peer was never observed.
 func (v *View) idxOf(peer wire.NodeID) int {
 	lo, hi := 0, len(v.tracked)
 	for lo < hi {
@@ -313,8 +307,6 @@ func (v *View) Observe(peer wire.NodeID, seq uint64, at time.Duration) bool {
 	if peer == v.cfg.Self {
 		return false
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	i := v.idxOf(peer)
 	if i >= 0 && seq <= v.lastSeq[i] {
 		return false
@@ -362,8 +354,6 @@ func (v *View) Observe(peer wire.NodeID, seq uint64, at time.Duration) bool {
 // SuspectTimeout elapses without refutation is declared dead, its death
 // gossiped to the rest of the organization.
 func (v *View) Sweep(now time.Duration) []wire.NodeID {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	var dead []wire.NodeID
 	suspicion := v.cfg.SuspectTimeout > 0
 	probing := v.cfg.ShuffleInterval > 0
@@ -404,7 +394,7 @@ func (v *View) Sweep(now time.Duration) []wire.NodeID {
 	return dead
 }
 
-// aliveIdxLocked is the one liveness predicate every query shares,
+// aliveIdx is the one liveness predicate every query shares,
 // answering for tracked[i]. Legacy mode is time-based: alive means a
 // heartbeat within Expiration — the moment a peer lapses it stops being
 // alive and becomes dead, with no window where the two disagree. Suspicion
@@ -412,7 +402,7 @@ func (v *View) Sweep(now time.Duration) []wire.NodeID {
 // death removes a peer from the view (per-pair heartbeat freshness is
 // meaningless when the fan-out is a sparse sample of a large
 // organization). Callers answer false for untracked peers (idxOf < 0).
-func (v *View) aliveIdxLocked(i int, now time.Duration) bool {
+func (v *View) aliveIdx(i int, now time.Duration) bool {
 	if v.cfg.SuspectTimeout > 0 {
 		st := v.status[i]
 		return st == statusLive || st == statusSuspect
@@ -426,10 +416,8 @@ func (v *View) Alive(peer wire.NodeID, now time.Duration) bool {
 	if peer == v.cfg.Self {
 		return true
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	i := v.idxOf(peer)
-	return i >= 0 && v.aliveIdxLocked(i, now)
+	return i >= 0 && v.aliveIdx(i, now)
 }
 
 // Dead reports whether the view considers peer dead at time now: it was
@@ -442,10 +430,8 @@ func (v *View) Dead(peer wire.NodeID, now time.Duration) bool {
 	if peer == v.cfg.Self {
 		return false
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	i := v.idxOf(peer)
-	return i >= 0 && !v.aliveIdxLocked(i, now)
+	return i >= 0 && !v.aliveIdx(i, now)
 }
 
 // Live returns the sorted ids of all peers believed alive at now,
@@ -457,8 +443,6 @@ func (v *View) Live(now time.Duration) []wire.NodeID {
 // LiveInto is Live appending into buf's backing array (grown as needed):
 // the caller owns buf exclusively and the returned slice aliases it.
 func (v *View) LiveInto(buf []wire.NodeID, now time.Duration) []wire.NodeID {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	out := buf[:0]
 	selfDone := false
 	for i, p := range v.tracked {
@@ -466,7 +450,7 @@ func (v *View) LiveInto(buf []wire.NodeID, now time.Duration) []wire.NodeID {
 			out = append(out, v.cfg.Self)
 			selfDone = true
 		}
-		if v.aliveIdxLocked(i, now) {
+		if v.aliveIdx(i, now) {
 			out = append(out, p)
 		}
 	}
@@ -483,13 +467,11 @@ func (v *View) LiveInto(buf []wire.NodeID, now time.Duration) []wire.NodeID {
 // zero allocations (the live-minimum is effectively tracked by the sorted
 // order).
 func (v *View) Leader(now time.Duration) wire.NodeID {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	for i, p := range v.tracked {
 		if p >= v.cfg.Self {
 			break
 		}
-		if v.aliveIdxLocked(i, now) {
+		if v.aliveIdx(i, now) {
 			return p
 		}
 	}
@@ -503,8 +485,6 @@ func (v *View) IsLeader(now time.Duration) bool {
 
 // Stats snapshots the view's counters.
 func (v *View) Stats() Stats {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	s := Stats{
 		Known:         len(v.tracked),
 		Queued:        len(v.queue),

@@ -189,12 +189,10 @@ func swimViewHost(self wire.NodeID, host Host) *View {
 // suspect puts peer into the suspect state through the public path: a
 // gossiped suspicion at the peer's current incarnation.
 func (v *View) suspectForTest(peer wire.NodeID, now time.Duration) {
-	v.mu.Lock()
 	var seq uint64
 	if i := v.idxOf(peer); i >= 0 {
 		seq = v.lastSeq[i]
 	}
-	v.mu.Unlock()
 	v.apply([]wire.MemberEvent{{Peer: peer, Seq: seq, Kind: wire.EventSuspect}}, now, true)
 }
 

@@ -18,7 +18,7 @@ import (
 // or fresher queued rumor absorbs ev. The queue is bounded by QueueCap;
 // the front — where the most-retransmitted rumors age (see PiggybackOnto)
 // — is dropped on overflow, so pressure sheds the rumors that already had
-// their airtime, never the fresh ones. Caller holds mu.
+// their airtime, never the fresh ones.
 func (v *View) queueRumor(ev wire.MemberEvent) {
 	if v.cfg.PiggybackMax <= 0 {
 		return
@@ -51,8 +51,7 @@ func (v *View) queueRumor(ev wire.MemberEvent) {
 // PiggybackOnto sends a bounded digest of queued rumors to the destination
 // of an ordinary outgoing gossip message (gossip.Core calls it from its
 // send path). With an empty queue — the steady state of a stable
-// organization — it is a lock plus a length check: no message, no
-// allocation.
+// organization — it is a length check: no message, no allocation.
 //
 // Selection is newest-first (SWIM's least-retransmitted-first): each digest
 // takes the queue's tail, where fresh rumors land, charges one transmission
@@ -64,9 +63,7 @@ func (v *View) PiggybackOnto(to wire.NodeID) {
 	if v.cfg.PiggybackMax <= 0 {
 		return
 	}
-	v.mu.Lock()
 	if len(v.queue) == 0 {
-		v.mu.Unlock()
 		return
 	}
 	k := v.cfg.PiggybackMax
@@ -101,14 +98,11 @@ func (v *View) PiggybackOnto(to wire.NodeID) {
 		v.queue = v.queue[:live]
 	}
 	v.eventsSent += uint64(k)
-	v.mu.Unlock()
 	v.host.Send(to, &wire.MemberEvents{Events: events})
 }
 
 // QueuedRumors returns the current rumor-queue length.
 func (v *View) QueuedRumors() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	return len(v.queue)
 }
 
@@ -124,8 +118,8 @@ func IsPayload(t wire.MsgType) bool {
 
 // Handle processes a membership payload, reporting whether the message type
 // belonged to this subsystem. Transitions caused by applied events fire the
-// OnTransition hook (outside the lock), and accusations against self latch
-// for TakeAccusation.
+// OnTransition hook, and accusations against self latch for
+// TakeAccusation.
 //
 // A view with every SWIM knob off claims the payload types but drops their
 // content: a legacy peer in a mixed organization must not let a received
@@ -138,31 +132,25 @@ func (v *View) Handle(from wire.NodeID, msg wire.Message, now time.Duration) boo
 	}
 	switch m := msg.(type) {
 	case *wire.MemberEvents:
-		v.mu.Lock()
 		if v.probePending && from == v.probeTarget {
 			// A piggybacked digest is as direct as a shuffle ack: the
 			// target is talking, so the outstanding probe must not turn
 			// a dropped response into a false suspicion.
 			v.probePending = false
 		}
-		v.mu.Unlock()
 		v.apply(m.Events, now, true)
 	case *wire.ShuffleRequest:
-		v.mu.Lock()
 		if v.probePending && from == v.probeTarget {
 			v.probePending = false // the target is probing us: direct evidence
 		}
-		v.mu.Unlock()
 		v.apply(m.Entries, now, false)
 		if v.host != nil {
 			v.host.Send(from, &wire.ShuffleResponse{Entries: v.sample()})
 		}
 	case *wire.ShuffleResponse:
-		v.mu.Lock()
 		if v.probePending && from == v.probeTarget {
 			v.probePending = false // the probe's ack: the target lives
 		}
-		v.mu.Unlock()
 		v.apply(m.Entries, now, false)
 	default:
 		return false
@@ -174,8 +162,6 @@ func (v *View) Handle(from wire.NodeID, msg wire.Message, now time.Duration) boo
 // answers a true return with an incarnation bump plus an immediate
 // refutation heartbeat (SWIM's alive-with-higher-incarnation).
 func (v *View) TakeAccusation() bool {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	accused := v.selfAccused
 	v.selfAccused = false
 	if accused {
@@ -187,12 +173,10 @@ func (v *View) TakeAccusation() bool {
 // QueueSelfAlive queues a refutation rumor advertising self at the given
 // (freshly bumped) sequence.
 func (v *View) QueueSelfAlive(seq uint64) {
-	v.mu.Lock()
 	if seq > v.selfSeq {
 		v.selfSeq = seq
 	}
 	v.queueRumor(wire.MemberEvent{Peer: v.cfg.Self, Seq: seq, Kind: wire.EventAlive})
-	v.mu.Unlock()
 }
 
 // apply merges a batch of remote membership events into the view, in order.
@@ -212,9 +196,11 @@ func (v *View) QueueSelfAlive(seq uint64) {
 // sequence that would revive them. Shuffle samples stay quiet on refresh:
 // they carry every entry every few rounds, so relaying them would flood
 // the queue with non-news.
+//
+// The OnTransition hook fires for the batch's transitions only after the
+// whole batch is merged, so it observes the final view.
 func (v *View) apply(events []wire.MemberEvent, now time.Duration, relay bool) {
 	var fired []transition
-	v.mu.Lock()
 	for _, e := range events {
 		if e.Peer == v.cfg.Self {
 			// Only explicit suspicions and death declarations are
@@ -234,25 +220,23 @@ func (v *View) apply(events []wire.MemberEvent, now time.Duration, relay bool) {
 			}
 		}
 	}
-	fn := v.onTransition
-	v.mu.Unlock()
-	if fn != nil {
+	if fn := v.onTransition; fn != nil {
 		for _, t := range fired {
 			fn(t.peer, t.alive)
 		}
 	}
 }
 
-// transition is one live/dead flip produced by applyOne, fired after the
-// lock is released.
+// transition is one live/dead flip produced by applyOne, fired after its
+// batch is merged.
 type transition struct {
 	peer  wire.NodeID
 	alive bool
 	fire  bool
 }
 
-// applyOne merges one event. Caller holds mu. Returns the transition to
-// fire (if any) and whether local state changed.
+// applyOne merges one event. Returns the transition to fire (if any) and
+// whether local state changed.
 func (v *View) applyOne(e wire.MemberEvent, now time.Duration, relay bool) (transition, bool) {
 	p := e.Peer
 	i := v.idxOf(p)
@@ -371,12 +355,6 @@ func (v *View) applyOne(e wire.MemberEvent, now time.Duration, relay bool) (tran
 // cover the whole view. Dead entries are included (spreading declared
 // deaths is as important as spreading liveness).
 func (v *View) sample() []wire.MemberEvent {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.sampleLocked()
-}
-
-func (v *View) sampleLocked() []wire.MemberEvent {
 	k := v.cfg.ShuffleSample - 1
 	if k > len(v.tracked) {
 		k = len(v.tracked)
@@ -422,7 +400,6 @@ func (v *View) ShuffleTick(now time.Duration) {
 	if v.cfg.ShuffleInterval <= 0 || v.host == nil {
 		return
 	}
-	v.mu.Lock()
 	if v.probePending {
 		v.probePending = false
 		p := v.probeTarget
@@ -434,18 +411,17 @@ func (v *View) ShuffleTick(now time.Duration) {
 	}
 	alive := 0
 	for i := range v.tracked {
-		if v.aliveIdxLocked(i, now) {
+		if v.aliveIdx(i, now) {
 			alive++
 		}
 	}
 	if alive == 0 {
-		v.mu.Unlock()
 		return
 	}
 	idx := v.host.Rand().Intn(alive)
 	var target wire.NodeID
 	for i, p := range v.tracked {
-		if !v.aliveIdxLocked(i, now) {
+		if !v.aliveIdx(i, now) {
 			continue
 		}
 		if idx == 0 {
@@ -456,7 +432,5 @@ func (v *View) ShuffleTick(now time.Duration) {
 	}
 	v.probeTarget = target
 	v.probePending = true
-	req := &wire.ShuffleRequest{Entries: v.sampleLocked()}
-	v.mu.Unlock()
-	v.host.Send(target, req)
+	v.host.Send(target, &wire.ShuffleRequest{Entries: v.sample()})
 }

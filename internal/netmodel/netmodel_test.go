@@ -77,7 +77,7 @@ func TestTransmitTime(t *testing.T) {
 }
 
 func TestTrafficBucketsAndSeries(t *testing.T) {
-	tr := NewTraffic(10 * time.Second)
+	tr := NewSimTraffic(10 * time.Second)
 	// 1 MB from node 0 to node 1 in bucket 0, 2 MB in bucket 2.
 	tr.Record(0, 1, wire.TypeData, 1_000_000, 5*time.Second)
 	tr.Record(0, 1, wire.TypeData, 2_000_000, 25*time.Second)
@@ -99,7 +99,7 @@ func TestTrafficBucketsAndSeries(t *testing.T) {
 }
 
 func TestTrafficPerTypeAccounting(t *testing.T) {
-	tr := NewTraffic(time.Second)
+	tr := NewSimTraffic(time.Second)
 	tr.Record(0, 1, wire.TypeData, 100, 0)
 	tr.Record(1, 2, wire.TypeData, 100, 0)
 	tr.Record(2, 0, wire.TypePushDigest, 10, 0)
@@ -116,14 +116,14 @@ func TestTrafficPerTypeAccounting(t *testing.T) {
 }
 
 func TestTrafficZeroBucketDefaults(t *testing.T) {
-	tr := NewTraffic(0)
+	tr := NewSimTraffic(0)
 	if tr.Bucket() != 10*time.Second {
 		t.Fatalf("default bucket = %v", tr.Bucket())
 	}
 }
 
 func TestNodeSeriesUnknownNodeIsZero(t *testing.T) {
-	tr := NewTraffic(time.Second)
+	tr := NewSimTraffic(time.Second)
 	s := tr.NodeSeries(42, 3)
 	for _, v := range s {
 		if v != 0 {

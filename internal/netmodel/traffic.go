@@ -1,7 +1,6 @@
 package netmodel
 
 import (
-	"sync"
 	"time"
 
 	"fabricgossip/internal/wire"
@@ -19,16 +18,11 @@ import (
 // per-type counters are flat arrays indexed by MsgType. Buckets and node
 // slots grow amortized as the run progresses.
 //
-// NewTraffic returns a locked accountant that is safe for concurrent use so
-// the TCP transport can share it across connection goroutines; NewSimTraffic
-// skips the mutex entirely for the single-threaded simulated runtime, where
-// every Record comes from the one engine goroutine.
+// A Traffic is owned by one scheduler goroutine (see sim.Scheduler): every
+// Record comes from the sends of the nodes on that goroutine — the engine's
+// on the simulated runtime, the event loop's on the TCP runtime.
 type Traffic struct {
-	mu sync.Mutex
-	// concurrent selects the locked paths; false only on the simulated
-	// runtime, whose engine is single-threaded by construction.
-	concurrent bool
-	bucket     time.Duration
+	bucket time.Duration
 	// base/window bound the index-addressed node tables to ids in
 	// [base, base+window): in/out are indexed by id-base. A sharded
 	// harness gives each organization shard's accountant its own id
@@ -66,22 +60,14 @@ type Traffic struct {
 // ids beyond fall back to the map path.
 const denseLimit = 1 << 20
 
-// NewTraffic returns a concurrency-safe accountant aggregating at the given
-// bucket width.
-func NewTraffic(bucket time.Duration) *Traffic {
-	t := NewSimTraffic(bucket)
-	t.concurrent = true
-	return t
-}
-
-// NewSimTraffic returns an accountant for the single-threaded simulated
-// runtime: identical accounting, no locking. It must only be used from the
-// engine goroutine.
+// NewSimTraffic returns an accountant aggregating at the given bucket width
+// over the full dense id range. It must only be used from its owning
+// scheduler goroutine.
 func NewSimTraffic(bucket time.Duration) *Traffic {
 	return NewSimTrafficWindow(bucket, 0, denseLimit)
 }
 
-// NewSimTrafficWindow returns a single-threaded accountant whose dense
+// NewSimTrafficWindow returns an accountant whose dense
 // tables cover ids [base, base+window); ids outside take the sparse map
 // path. The sharded harness hands each organization shard its org's id
 // range — cross-shard sends touch a handful of remote ids (the orderer, a
@@ -122,7 +108,7 @@ func (t *Traffic) denseIdx(id wire.NodeID) (int, bool) {
 }
 
 // bumpIn adds v to id's receive bucket idx, dense or sparse as the window
-// dictates. Callers hold the lock (or run single-threaded).
+// dictates.
 func (t *Traffic) bumpIn(id wire.NodeID, idx int, v uint64) {
 	i, dense := t.denseIdx(id)
 	if t.totalsOnly {
@@ -164,27 +150,13 @@ func (t *Traffic) bumpOut(id wire.NodeID, idx int, v uint64) {
 	}
 }
 
-func (t *Traffic) lock() {
-	if t.concurrent {
-		t.mu.Lock()
-	}
-}
-
-func (t *Traffic) unlock() {
-	if t.concurrent {
-		t.mu.Unlock()
-	}
-}
-
 // Bucket returns the aggregation width.
 func (t *Traffic) Bucket() time.Duration { return t.bucket }
 
 // Merge folds other's accounting into t. The sharded runtime keeps one
-// accountant per shard (so Record stays lock-free inside windows) and merges
+// accountant per shard (each owned by its shard's goroutine) and merges
 // them into a single view for reporting. other must be quiescent.
 func (t *Traffic) Merge(other *Traffic) {
-	t.lock()
-	defer t.unlock()
 	for node, b := range other.in {
 		for idx, v := range b {
 			if v != 0 {
@@ -246,7 +218,6 @@ func (t *Traffic) Merge(other *Traffic) {
 // at virtual/wall time at.
 func (t *Traffic) Record(from, to wire.NodeID, mt wire.MsgType, size int, at time.Duration) {
 	idx := int(at / t.bucket)
-	t.lock()
 	t.bumpOut(from, idx, uint64(size))
 	t.bumpIn(to, idx, uint64(size))
 	if int(mt) < wire.NumMsgTypes {
@@ -254,7 +225,6 @@ func (t *Traffic) Record(from, to wire.NodeID, mt wire.MsgType, size int, at tim
 		t.bytes[mt] += uint64(size)
 	}
 	t.total += uint64(size)
-	t.unlock()
 }
 
 // bumpNode adds v to node's bucket idx, growing the node table and the
@@ -297,8 +267,7 @@ func bumpBig(m map[wire.NodeID][]uint64, id wire.NodeID, idx int, v uint64) map[
 }
 
 // series returns the node's recorded buckets, consulting the dense table or
-// the sparse overflow map as the window dictates. Callers hold the lock (or
-// run single-threaded).
+// the sparse overflow map as the window dictates.
 func (t *Traffic) series(tab [][]uint64, big map[wire.NodeID][]uint64, id wire.NodeID) []uint64 {
 	if i, ok := t.denseIdx(id); ok {
 		if i < len(tab) {
@@ -312,8 +281,6 @@ func (t *Traffic) series(tab [][]uint64, big map[wire.NodeID][]uint64, id wire.N
 // NodeSeries returns the node's traffic in MB/s per bucket (in + out), over
 // nBuckets buckets (zero-padded).
 func (t *Traffic) NodeSeries(id wire.NodeID, nBuckets int) []float64 {
-	t.lock()
-	defer t.unlock()
 	out := make([]float64, nBuckets)
 	secs := t.bucket.Seconds()
 	inS, outS := t.series(t.in, t.inBig, id), t.series(t.out, t.outBig, id)
@@ -348,8 +315,6 @@ func (t *Traffic) NodeAverage(id wire.NodeID, nBuckets int) float64 {
 // whole run, for per-organization bandwidth accounting in multi-org
 // networks.
 func (t *Traffic) NodeTotals(id wire.NodeID) (in, out uint64) {
-	t.lock()
-	defer t.unlock()
 	if t.totalsOnly {
 		if i, ok := t.denseIdx(id); ok {
 			if i < len(t.inTot) {
@@ -373,8 +338,6 @@ func (t *Traffic) NodeTotals(id wire.NodeID) (in, out uint64) {
 
 // TotalBytes returns the total bytes transmitted across the network.
 func (t *Traffic) TotalBytes() uint64 {
-	t.lock()
-	defer t.unlock()
 	return t.total
 }
 
@@ -383,8 +346,6 @@ func (t *Traffic) CountOf(mt wire.MsgType) uint64 {
 	if int(mt) >= wire.NumMsgTypes {
 		return 0
 	}
-	t.lock()
-	defer t.unlock()
 	return t.count[mt]
 }
 
@@ -393,15 +354,11 @@ func (t *Traffic) BytesOf(mt wire.MsgType) uint64 {
 	if int(mt) >= wire.NumMsgTypes {
 		return 0
 	}
-	t.lock()
-	defer t.unlock()
 	return t.bytes[mt]
 }
 
 // Breakdown returns per-type (count, bytes) pairs for reporting.
 func (t *Traffic) Breakdown() map[wire.MsgType][2]uint64 {
-	t.lock()
-	defer t.unlock()
 	out := make(map[wire.MsgType][2]uint64)
 	for mt, c := range t.count {
 		if c > 0 {

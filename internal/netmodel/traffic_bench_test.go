@@ -7,60 +7,11 @@ import (
 	"fabricgossip/internal/wire"
 )
 
-// The locked (TCP) and unlocked (sim) accountants must agree on every
-// figure for the same recorded sequence: they differ only in mutex use.
-func TestTrafficLockedAndSimVariantsAgree(t *testing.T) {
-	locked := NewTraffic(time.Second)
-	simt := NewSimTraffic(time.Second)
-	types := []wire.MsgType{wire.TypeData, wire.TypeAlive, wire.TypeStateInfo}
-	for i := 0; i < 500; i++ {
-		from := wire.NodeID(i % 7)
-		to := wire.NodeID((i + 3) % 7)
-		mt := types[i%len(types)]
-		size := 100 + i%900
-		at := time.Duration(i) * 37 * time.Millisecond
-		locked.Record(from, to, mt, size, at)
-		simt.Record(from, to, mt, size, at)
-	}
-	if locked.TotalBytes() != simt.TotalBytes() {
-		t.Fatalf("TotalBytes: locked %d, sim %d", locked.TotalBytes(), simt.TotalBytes())
-	}
-	for _, mt := range types {
-		if locked.CountOf(mt) != simt.CountOf(mt) || locked.BytesOf(mt) != simt.BytesOf(mt) {
-			t.Fatalf("%v: locked (%d, %d), sim (%d, %d)", mt,
-				locked.CountOf(mt), locked.BytesOf(mt), simt.CountOf(mt), simt.BytesOf(mt))
-		}
-	}
-	for id := wire.NodeID(0); id < 7; id++ {
-		li, lo := locked.NodeTotals(id)
-		si, so := simt.NodeTotals(id)
-		if li != si || lo != so {
-			t.Fatalf("node %v totals: locked (%d, %d), sim (%d, %d)", id, li, lo, si, so)
-		}
-		ls := locked.NodeSeries(id, 20)
-		ss := simt.NodeSeries(id, 20)
-		for i := range ls {
-			if ls[i] != ss[i] {
-				t.Fatalf("node %v bucket %d: locked %v, sim %v", id, i, ls[i], ss[i])
-			}
-		}
-	}
-	lb, sb := locked.Breakdown(), simt.Breakdown()
-	if len(lb) != len(sb) {
-		t.Fatalf("breakdown sizes differ: %d vs %d", len(lb), len(sb))
-	}
-	for mt, v := range lb {
-		if sb[mt] != v {
-			t.Fatalf("breakdown %v: locked %v, sim %v", mt, v, sb[mt])
-		}
-	}
-}
-
 // The TCP runtime lets callers pick arbitrary NodeIDs, so a sparse huge id
 // must route through the overflow map instead of growing the dense tables
 // to the id's value.
 func TestTrafficSparseHugeNodeIDs(t *testing.T) {
-	tr := NewTraffic(time.Second)
+	tr := NewSimTraffic(time.Second)
 	huge := wire.NodeID(4_000_000_000)
 	tr.Record(huge, 3, wire.TypeData, 500, 0)
 	tr.Record(3, huge, wire.TypeAlive, 200, 1500*time.Millisecond)
@@ -114,18 +65,6 @@ func TestTrafficRecordSteadyStateAllocationFree(t *testing.T) {
 // single-threaded sim path. Must report 0 allocs/op.
 func BenchmarkTrafficRecord(b *testing.B) {
 	tr := NewSimTraffic(10 * time.Second)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Record(wire.NodeID(i%100), wire.NodeID((i+1)%100), wire.TypeData, 5000,
-			time.Duration(i)*time.Millisecond)
-	}
-}
-
-// BenchmarkTrafficRecordLocked is the concurrent (TCP runtime) variant, for
-// the mutex-cost trajectory.
-func BenchmarkTrafficRecordLocked(b *testing.B) {
-	tr := NewTraffic(10 * time.Second)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -7,7 +7,8 @@
 // netmodel.Traffic: a Registry built with NewRegistry is lock-free and
 // must only be touched from one goroutine (one per simulation shard — the
 // shard's own event loop), while NewConcurrentRegistry takes atomic/locked
-// writes from any goroutine (the TCP runtime). Shard-local registries are
+// writes from any goroutine (the TCP runtime, whose HTTP scrape reads while
+// the event loop writes). Shard-local registries are
 // folded together with Merge at barriers or report time, exactly like
 // GroupedLatency.All(): determinism comes from merging in a fixed order at
 // a quiescent instant, not from synchronizing the hot path.

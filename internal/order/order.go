@@ -15,7 +15,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"fabricgossip/internal/crypto"
@@ -108,7 +107,6 @@ type Service struct {
 	consenter Consenter
 	signer    *crypto.Signer
 
-	mu                      sync.Mutex
 	pending                 []*ledger.Transaction
 	nextNum                 uint64
 	prevHash                crypto.Digest
@@ -118,7 +116,7 @@ type Service struct {
 	txCount                 uint64
 	cutBySize, cutByTimeout uint64
 	// onCut observes every cut block (number, transaction count) just
-	// before it is handed to deliver, outside the service's lock.
+	// before it is handed to deliver.
 	onCut func(num uint64, txs int)
 }
 
@@ -149,15 +147,11 @@ func (s *Service) OnBlockCut(fn func(num uint64, txs int)) { s.onCut = fn }
 
 // Stats reports how many transactions were ordered and how blocks were cut.
 func (s *Service) Stats() (txs, bySize, byTimeout uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.txCount, s.cutBySize, s.cutByTimeout
 }
 
 // Height returns the number of blocks cut so far.
 func (s *Service) Height() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.nextNum
 }
 
@@ -168,7 +162,6 @@ func (s *Service) onCommitted(data []byte) {
 		return // tolerate garbage in the stream; CFT, not BFT
 	}
 	var cut *ledger.Block
-	s.mu.Lock()
 	switch kind {
 	case entryTx:
 		s.txCount++
@@ -179,18 +172,17 @@ func (s *Service) onCommitted(data []byte) {
 			s.ttcTimer = s.sched.After(s.cfg.BatchTimeout, func() { s.sendTTC(num) })
 		}
 		if len(s.pending) >= s.cfg.MaxTxPerBlock {
-			cut = s.cutLocked()
+			cut = s.cutBlock()
 			s.cutBySize++
 		}
 	case entryTTC:
 		// Only the TTC for the block currently being assembled cuts;
 		// stale markers (the block was already cut by size) are ignored.
 		if ttcNum == s.nextNum && len(s.pending) > 0 {
-			cut = s.cutLocked()
+			cut = s.cutBlock()
 			s.cutByTimeout++
 		}
 	}
-	s.mu.Unlock()
 	if cut != nil {
 		if s.onCut != nil {
 			s.onCut(cut.Num, len(cut.Txs))
@@ -202,16 +194,13 @@ func (s *Service) onCommitted(data []byte) {
 // sendTTC publishes the time-to-cut marker through the total order so all
 // consuming orderers cut identically.
 func (s *Service) sendTTC(blockNum uint64) {
-	s.mu.Lock()
-	stillPending := s.nextNum == blockNum && len(s.pending) > 0
-	s.mu.Unlock()
-	if stillPending {
+	if s.nextNum == blockNum && len(s.pending) > 0 {
 		_ = s.consenter.Submit(encodeTTCEntry(blockNum))
 	}
 }
 
-// cutLocked assembles, signs and chains the next block. Callers hold mu.
-func (s *Service) cutLocked() *ledger.Block {
+// cutBlock assembles, signs and chains the next block.
+func (s *Service) cutBlock() *ledger.Block {
 	txs := s.pending
 	s.pending = nil
 	s.ttcSent = false
@@ -239,10 +228,8 @@ func (s *Service) cutLocked() *ledger.Block {
 // single-orderer deployments. Delay models the intra-cluster ordering
 // round-trip (Kafka produce/consume in the paper's deployment).
 type Solo struct {
-	sched sim.Scheduler
-	delay time.Duration
-
-	mu     sync.Mutex
+	sched  sim.Scheduler
+	delay  time.Duration
 	commit func(data []byte)
 }
 
@@ -253,16 +240,12 @@ func NewSolo(sched sim.Scheduler, delay time.Duration) *Solo {
 
 // OnCommit implements Consenter.
 func (s *Solo) OnCommit(fn func(data []byte)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.commit = fn
 }
 
 // Submit implements Consenter.
 func (s *Solo) Submit(data []byte) error {
-	s.mu.Lock()
-	fn := s.commit
-	s.mu.Unlock()
+	fn := s.commit // bound now: the delayed commit must not see a later OnCommit
 	if fn == nil {
 		return errors.New("order: solo consenter has no commit callback")
 	}

@@ -6,7 +6,6 @@
 package peer
 
 import (
-	"sync"
 	"time"
 
 	"fabricgossip/internal/crypto"
@@ -39,7 +38,6 @@ type Peer struct {
 	led   *ledger.Ledger
 	sched sim.Scheduler
 
-	mu           sync.Mutex
 	queue        []*ledger.Block
 	busy         bool
 	results      []ledger.CommitResult
@@ -89,15 +87,11 @@ func (p *Peer) Gossip() *gossip.Core { return p.core }
 // OnCommitResult installs a hook invoked after every block commit with the
 // per-transaction validation outcome.
 func (p *Peer) OnCommitResult(fn func(ledger.CommitResult)) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.onCommit = fn
 }
 
 // Results returns a copy of all commit results so far.
 func (p *Peer) Results() []ledger.CommitResult {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	out := make([]ledger.CommitResult, len(p.results))
 	copy(out, p.results)
 	return out
@@ -105,8 +99,6 @@ func (p *Peer) Results() []ledger.CommitResult {
 
 // Conflicts returns the total number of invalidated transactions observed.
 func (p *Peer) Conflicts() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	n := 0
 	for _, r := range p.results {
 		n += r.Invalid
@@ -116,15 +108,11 @@ func (p *Peer) Conflicts() int {
 
 // Dropped returns how many blocks failed orderer-signature verification.
 func (p *Peer) Dropped() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.dropped
 }
 
 // Stats returns a snapshot of the pipeline counters.
 func (p *Peer) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return Stats{
 		Committed:    uint64(len(p.results)),
 		CommitErrors: p.commitErrors,
@@ -140,34 +128,24 @@ func (p *Peer) Stats() Stats {
 func (p *Peer) enqueue(b *ledger.Block) {
 	if len(p.cfg.OrdererKey) > 0 {
 		if crypto.Verify(p.cfg.OrdererKey, b.HeaderBytes(), b.Sig) != nil {
-			p.mu.Lock()
 			p.dropped++
-			p.mu.Unlock()
 			return
 		}
 	}
-	p.mu.Lock()
 	p.queue = append(p.queue, b)
-	start := !p.busy
-	if start {
+	if !p.busy {
 		p.busy = true
-	}
-	p.mu.Unlock()
-	if start {
 		p.validateNext()
 	}
 }
 
 func (p *Peer) validateNext() {
-	p.mu.Lock()
 	if len(p.queue) == 0 {
 		p.busy = false
-		p.mu.Unlock()
 		return
 	}
 	b := p.queue[0]
 	p.queue = p.queue[1:]
-	p.mu.Unlock()
 
 	delay := time.Duration(len(b.Txs)) * p.cfg.ValidationPerTx
 	p.sched.After(delay, func() {
@@ -175,18 +153,13 @@ func (p *Peer) validateNext() {
 		if err != nil {
 			// The block (and every transaction in it) is lost to this
 			// peer; surface it instead of failing silently.
-			p.mu.Lock()
 			p.commitErrors++
-			p.mu.Unlock()
 			p.validateNext()
 			return
 		}
-		p.mu.Lock()
 		p.results = append(p.results, res)
-		fn := p.onCommit
-		p.mu.Unlock()
-		if fn != nil {
-			fn(res)
+		if p.onCommit != nil {
+			p.onCommit(res)
 		}
 		p.validateNext()
 	})

@@ -1,7 +1,6 @@
 package raft
 
 import (
-	"sync"
 	"time"
 
 	"fabricgossip/internal/sim"
@@ -36,7 +35,6 @@ type Consenter struct {
 	node  *Node
 	sched sim.Scheduler
 
-	mu       sync.Mutex
 	commitFn func(data []byte)
 	// pending maps payload -> last proposal time; order keeps the pending
 	// keys in submission order (entries whose key has left the map are
@@ -88,8 +86,6 @@ func (c *Consenter) Node() *Node { return c.node }
 // drops — required when the payloads are harness chain blocks that must
 // eventually commit).
 func (c *Consenter) SetRetry(interval, maxAge time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if interval > 0 {
 		c.sweepInterval = interval
 	}
@@ -103,31 +99,23 @@ func (c *Consenter) SetRetry(interval, maxAge time.Duration) {
 // re-endorsing an unchanged transaction after a conflict — would be
 // swallowed. Zero disables (the default).
 func (c *Consenter) SetDedup(window int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.dedupWindow = window
 }
 
 // Stop halts the retry sweep.
 func (c *Consenter) Stop() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.stopped = true
 }
 
 // OnCommit implements order.Consenter. Committed entries are delivered in
 // log order, exactly once across the dedup window.
 func (c *Consenter) OnCommit(fn func(data []byte)) {
-	c.mu.Lock()
 	c.commitFn = fn
-	c.mu.Unlock()
 	c.node.OnApply(func(data []byte) {
 		key := string(data)
-		c.mu.Lock()
 		delete(c.pending, key)
 		if c.dedupWindow > 0 {
 			if _, dup := c.seen[key]; dup {
-				c.mu.Unlock()
 				return // a re-proposed copy: already delivered downstream
 			}
 			c.seen[key] = struct{}{}
@@ -137,10 +125,8 @@ func (c *Consenter) OnCommit(fn func(data []byte)) {
 				c.seenQ = c.seenQ[1:]
 			}
 		}
-		cb := c.commitFn
-		c.mu.Unlock()
-		if cb != nil {
-			cb(data)
+		if c.commitFn != nil {
+			c.commitFn(data)
 		}
 	})
 }
@@ -148,9 +134,7 @@ func (c *Consenter) OnCommit(fn func(data []byte)) {
 // Submit implements order.Consenter.
 func (c *Consenter) Submit(data []byte) error {
 	key := string(data)
-	c.mu.Lock()
 	if c.stopped {
-		c.mu.Unlock()
 		return nil
 	}
 	if _, exists := c.pending[key]; !exists {
@@ -159,9 +143,8 @@ func (c *Consenter) Submit(data []byte) error {
 	c.pending[key] = c.sched.Now()
 	if !c.sweeping {
 		c.sweeping = true
-		c.armSweepLocked()
+		c.armSweep()
 	}
-	c.mu.Unlock()
 	// Best-effort immediate proposal; flush-on-leader and the sweep cover
 	// elections and crashed leaders.
 	_ = c.node.Propose(data)
@@ -172,49 +155,43 @@ func (c *Consenter) Submit(data []byte) error {
 // moment a leader becomes known, so envelopes buffered through an election
 // reach the new leader without waiting out a sweep interval.
 func (c *Consenter) flush() {
-	c.mu.Lock()
 	if c.stopped {
-		c.mu.Unlock()
 		return
 	}
 	now := c.sched.Now()
-	retry := c.collectPendingLocked(now, false)
-	c.mu.Unlock()
+	retry := c.collectPending(now, false)
 	for _, data := range retry {
 		_ = c.node.Propose(data)
 	}
 }
 
-func (c *Consenter) armSweepLocked() {
+func (c *Consenter) armSweep() {
 	c.sched.After(c.sweepInterval, c.sweep)
 }
 
 func (c *Consenter) sweep() {
-	c.mu.Lock()
 	if c.stopped {
-		c.mu.Unlock()
 		return
 	}
 	now := c.sched.Now()
-	retry := c.collectPendingLocked(now, true)
+	retry := c.collectPending(now, true)
 	if len(c.pending) > 0 {
-		c.armSweepLocked()
+		c.armSweep()
 	} else {
 		c.sweeping = false
 	}
-	c.mu.Unlock()
 	for _, data := range retry {
 		_ = c.node.Propose(data)
 	}
 }
 
-// collectPendingLocked walks the submission-ordered pending queue,
+// collectPending walks the submission-ordered pending queue,
 // compacting entries that have committed, expiring those past maxAge
 // (sweeps only), and returning the payloads due for re-proposal. Age
 // gating applies on sweeps only: a flush re-proposes everything — its
 // trigger (a new leader) is exactly the moment in-flight proposals may
 // have died.
-func (c *Consenter) collectPendingLocked(now time.Duration, ageGate bool) [][]byte {
+func (c *Consenter) collectPending(now time.Duration, ageGate bool) [][]byte {
 	var retry [][]byte
 	kept := c.order[:0]
 	for _, key := range c.order {

@@ -14,7 +14,6 @@ package raft
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"fabricgossip/internal/sim"
@@ -84,7 +83,6 @@ type Node struct {
 	sched sim.Scheduler
 	rng   *sim.Rand
 
-	mu       sync.Mutex
 	state    State
 	term     uint64
 	votedFor wire.NodeID
@@ -117,8 +115,8 @@ type Node struct {
 	// onStateChange is a test/diagnostic hook.
 	onStateChange func(State, uint64)
 	// onAppend observes log growth: it runs after entries land in the
-	// log (leader accept or follower replication), outside the node's
-	// lock, with the last appended index and the node's current term.
+	// log (leader accept or follower replication), with the last appended
+	// index and the node's current term.
 	onAppend func(index, term uint64)
 	// onLeaderChange observes this node's leader view; notifications are
 	// delivered asynchronously (After(0)) so the hook may call back into
@@ -168,7 +166,6 @@ func (n *Node) OnLeaderChange(fn func(leader wire.NodeID, known bool)) { n.onLea
 // The cluster's leader then repairs it by replaying the missed log suffix
 // through ordinary AppendEntries.
 func (n *Node) Start() {
-	n.mu.Lock()
 	n.stopped = false
 	demoted := n.state != Follower
 	if demoted {
@@ -179,10 +176,9 @@ func (n *Node) Start() {
 		n.heartbeatTimer.Stop()
 		n.heartbeatTimer = nil
 	}
-	n.resetElectionTimerLocked()
-	n.noteLeaderLocked()
+	n.resetElectionTimer()
+	n.noteLeader()
 	term := n.term
-	n.mu.Unlock()
 	if demoted && n.onStateChange != nil {
 		n.onStateChange(Follower, term)
 	}
@@ -195,8 +191,6 @@ func (n *Node) Start() {
 // would let a restarted node double-vote in a term and break election
 // safety.
 func (n *Node) Stop() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.stopped = true
 	if n.electionTimer != nil {
 		n.electionTimer.Stop()
@@ -208,15 +202,11 @@ func (n *Node) Stop() {
 
 // Status reports the node's current role, term and leader view.
 func (n *Node) Status() (state State, term uint64, leader wire.NodeID, known bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.state, n.term, n.leader, n.hasLead
 }
 
 // CommitIndex returns the highest committed log index.
 func (n *Node) CommitIndex() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.commitIndex
 }
 
@@ -224,19 +214,16 @@ func (n *Node) CommitIndex() uint64 {
 // locally; on a follower it is forwarded to the known leader. It returns
 // ErrNotLeader when no leader is known yet — callers retry.
 func (n *Node) Propose(data []byte) error {
-	n.mu.Lock()
 	if n.stopped {
-		n.mu.Unlock()
 		return errors.New("raft: node stopped")
 	}
 	if n.state == Leader {
 		n.log = append(n.log, wire.RaftEntry{Term: n.term, Data: data})
-		n.matchIndex[n.cfg.ID] = n.lastIndexLocked()
-		appended, term := n.lastIndexLocked(), n.term
+		n.matchIndex[n.cfg.ID] = n.lastIndex()
+		appended, term := n.lastIndex(), n.term
 		// A single-node cluster commits immediately.
-		n.advanceCommitLocked()
-		apply := n.collectApplyLocked()
-		n.mu.Unlock()
+		n.advanceCommit()
+		apply := n.collectApply()
 		if n.onAppend != nil {
 			n.onAppend(appended, term)
 		}
@@ -245,7 +232,6 @@ func (n *Node) Propose(data []byte) error {
 		return nil
 	}
 	leader, known := n.leader, n.hasLead
-	n.mu.Unlock()
 	if !known {
 		return ErrNotLeader
 	}
@@ -253,11 +239,11 @@ func (n *Node) Propose(data []byte) error {
 	return nil
 }
 
-// --- helpers (index math; callers hold mu) ---
+// --- helpers (index math) ---
 
-func (n *Node) lastIndexLocked() uint64 { return uint64(len(n.log)) }
+func (n *Node) lastIndex() uint64 { return uint64(len(n.log)) }
 
-func (n *Node) termAtLocked(index uint64) uint64 {
+func (n *Node) termAt(index uint64) uint64 {
 	if index == 0 {
 		return 0
 	}
@@ -276,12 +262,12 @@ func (n *Node) send(to wire.NodeID, msg wire.Message) {
 	_ = n.ep.Send(to, msg)
 }
 
-// --- role transitions (callers hold mu) ---
+// --- role transitions ---
 
-// noteLeaderLocked schedules an OnLeaderChange notification if the
+// noteLeader schedules an OnLeaderChange notification if the
 // (leader, known) view moved since the last one. Asynchronous delivery
 // keeps the hook free to call back into the node.
-func (n *Node) noteLeaderLocked() {
+func (n *Node) noteLeader() {
 	if n.onLeaderChange == nil {
 		return
 	}
@@ -293,7 +279,7 @@ func (n *Node) noteLeaderLocked() {
 	n.sched.After(0, func() { n.onLeaderChange(leader, known) })
 }
 
-func (n *Node) becomeFollowerLocked(term uint64) {
+func (n *Node) becomeFollower(term uint64) {
 	prev := n.state
 	n.state = Follower
 	if term > n.term {
@@ -302,19 +288,19 @@ func (n *Node) becomeFollowerLocked(term uint64) {
 		// The old leader pointer belongs to a stale term: forwarding
 		// proposals to it would silently drop them mid-election.
 		n.hasLead = false
-		n.noteLeaderLocked()
+		n.noteLeader()
 	}
 	if n.heartbeatTimer != nil {
 		n.heartbeatTimer.Stop()
 		n.heartbeatTimer = nil
 	}
-	n.resetElectionTimerLocked()
+	n.resetElectionTimer()
 	if prev != Follower && n.onStateChange != nil {
 		n.onStateChange(Follower, n.term)
 	}
 }
 
-func (n *Node) resetElectionTimerLocked() {
+func (n *Node) resetElectionTimer() {
 	if n.stopped {
 		return
 	}
@@ -330,9 +316,7 @@ func (n *Node) resetElectionTimerLocked() {
 }
 
 func (n *Node) electionTimeout() {
-	n.mu.Lock()
 	if n.stopped || n.state == Leader {
-		n.mu.Unlock()
 		return
 	}
 	// Become candidate.
@@ -341,17 +325,16 @@ func (n *Node) electionTimeout() {
 	n.voted = true
 	n.votedFor = n.cfg.ID
 	n.hasLead = false
-	n.noteLeaderLocked()
+	n.noteLeader()
 	n.votes = map[wire.NodeID]bool{n.cfg.ID: true}
 	term := n.term
-	lastIdx := n.lastIndexLocked()
-	lastTerm := n.termAtLocked(lastIdx)
-	n.resetElectionTimerLocked()
+	lastIdx := n.lastIndex()
+	lastTerm := n.termAt(lastIdx)
+	n.resetElectionTimer()
 	if n.onStateChange != nil {
 		n.onStateChange(Candidate, term)
 	}
 	peers := n.cfg.Peers
-	n.mu.Unlock()
 
 	req := &wire.RaftVoteRequest{
 		Term:         term,
@@ -363,19 +346,17 @@ func (n *Node) electionTimeout() {
 		n.send(p, req)
 	}
 	// Single-node cluster: immediate leadership.
-	n.mu.Lock()
 	if n.state == Candidate && len(n.votes) >= n.majority() {
-		n.becomeLeaderLocked()
+		n.becomeLeader()
 	}
-	n.mu.Unlock()
 }
 
-func (n *Node) becomeLeaderLocked() {
+func (n *Node) becomeLeader() {
 	n.state = Leader
 	n.leader = n.cfg.ID
 	n.hasLead = true
-	n.noteLeaderLocked()
-	last := n.lastIndexLocked()
+	n.noteLeader()
+	last := n.lastIndex()
 	for _, p := range n.cfg.Peers {
 		n.nextIndex[p] = last + 1
 		n.matchIndex[p] = 0
@@ -389,23 +370,20 @@ func (n *Node) becomeLeaderLocked() {
 	if n.onStateChange != nil {
 		n.onStateChange(Leader, n.term)
 	}
-	n.armHeartbeatLocked()
+	n.armHeartbeat()
 	// Send the initial empty heartbeats asynchronously.
 	n.sched.After(0, func() { n.broadcastAppends(true) })
 }
 
-func (n *Node) armHeartbeatLocked() {
+func (n *Node) armHeartbeat() {
 	if n.stopped {
 		return
 	}
 	n.heartbeatTimer = n.sched.After(n.cfg.HeartbeatInterval, func() {
-		n.mu.Lock()
 		if n.stopped || n.state != Leader {
-			n.mu.Unlock()
 			return
 		}
-		n.armHeartbeatLocked()
-		n.mu.Unlock()
+		n.armHeartbeat()
 		n.broadcastAppends(true)
 	})
 }
@@ -415,16 +393,9 @@ func (n *Node) armHeartbeatLocked() {
 // set (the heartbeat and leader-emergence paths force, so a lost message
 // never wedges a follower past one heartbeat interval).
 func (n *Node) broadcastAppends(force bool) {
-	n.mu.Lock()
 	if n.state != Leader || n.stopped {
-		n.mu.Unlock()
 		return
 	}
-	type out struct {
-		to  wire.NodeID
-		msg *wire.RaftAppend
-	}
-	var outs []out
 	for _, p := range n.cfg.Peers {
 		if p == n.cfg.ID {
 			continue
@@ -433,11 +404,7 @@ func (n *Node) broadcastAppends(force bool) {
 			continue
 		}
 		n.inflight[p] = true
-		outs = append(outs, out{p, n.buildAppendLocked(p)})
-	}
-	n.mu.Unlock()
-	for _, o := range outs {
-		n.send(o.to, o.msg)
+		n.send(p, n.buildAppend(p))
 	}
 }
 
@@ -445,32 +412,28 @@ func (n *Node) broadcastAppends(force bool) {
 // marking its in-flight slot. The append-response path uses it so each
 // response triggers at most one resend, to its own sender.
 func (n *Node) sendAppend(p wire.NodeID) {
-	n.mu.Lock()
 	if n.state != Leader || n.stopped {
-		n.mu.Unlock()
 		return
 	}
 	n.inflight[p] = true
-	msg := n.buildAppendLocked(p)
-	n.mu.Unlock()
-	n.send(p, msg)
+	n.send(p, n.buildAppend(p))
 }
 
-func (n *Node) buildAppendLocked(p wire.NodeID) *wire.RaftAppend {
+func (n *Node) buildAppend(p wire.NodeID) *wire.RaftAppend {
 	next := n.nextIndex[p]
 	if next == 0 {
 		next = 1
 	}
 	prevIdx := next - 1
 	entries := make([]wire.RaftEntry, 0)
-	for idx := next; idx <= n.lastIndexLocked() && len(entries) < n.cfg.MaxEntriesPerAppend; idx++ {
+	for idx := next; idx <= n.lastIndex() && len(entries) < n.cfg.MaxEntriesPerAppend; idx++ {
 		entries = append(entries, n.log[idx-1])
 	}
 	return &wire.RaftAppend{
 		Term:         n.term,
 		Leader:       n.cfg.ID,
 		PrevLogIndex: prevIdx,
-		PrevLogTerm:  n.termAtLocked(prevIdx),
+		PrevLogTerm:  n.termAt(prevIdx),
 		Entries:      entries,
 		LeaderCommit: n.commitIndex,
 	}
@@ -485,10 +448,7 @@ func (n *Node) buildAppendLocked(p wire.NodeID) *wire.RaftAppend {
 func (n *Node) Handle(from wire.NodeID, msg wire.Message) { n.handle(from, msg) }
 
 func (n *Node) handle(from wire.NodeID, msg wire.Message) {
-	n.mu.Lock()
-	stopped := n.stopped
-	n.mu.Unlock()
-	if stopped {
+	if n.stopped {
 		return // a crashed node must not vote, append or respond
 	}
 	switch m := msg.(type) {
@@ -506,74 +466,65 @@ func (n *Node) handle(from wire.NodeID, msg wire.Message) {
 }
 
 func (n *Node) handleVoteRequest(from wire.NodeID, m *wire.RaftVoteRequest) {
-	n.mu.Lock()
 	if m.Term > n.term {
-		n.becomeFollowerLocked(m.Term)
+		n.becomeFollower(m.Term)
 	}
 	grant := false
 	if m.Term == n.term && (!n.voted || n.votedFor == m.Candidate) {
 		// Candidate's log must be at least as up-to-date as ours.
-		lastIdx := n.lastIndexLocked()
-		lastTerm := n.termAtLocked(lastIdx)
+		lastIdx := n.lastIndex()
+		lastTerm := n.termAt(lastIdx)
 		upToDate := m.LastLogTerm > lastTerm ||
 			(m.LastLogTerm == lastTerm && m.LastLogIndex >= lastIdx)
 		if upToDate {
 			grant = true
 			n.voted = true
 			n.votedFor = m.Candidate
-			n.resetElectionTimerLocked()
+			n.resetElectionTimer()
 		}
 	}
 	term := n.term
-	n.mu.Unlock()
 	n.send(from, &wire.RaftVoteResponse{Term: term, Granted: grant})
 }
 
 func (n *Node) handleVoteResponse(from wire.NodeID, m *wire.RaftVoteResponse) {
-	n.mu.Lock()
 	if m.Term > n.term {
-		n.becomeFollowerLocked(m.Term)
-		n.mu.Unlock()
+		n.becomeFollower(m.Term)
 		return
 	}
 	if n.state != Candidate || m.Term < n.term || !m.Granted {
-		n.mu.Unlock()
 		return
 	}
 	n.votes[from] = true
 	if len(n.votes) >= n.majority() {
-		n.becomeLeaderLocked()
+		n.becomeLeader()
 	}
-	n.mu.Unlock()
 }
 
 func (n *Node) handleAppend(from wire.NodeID, m *wire.RaftAppend) {
-	n.mu.Lock()
 	if m.Term < n.term {
 		term := n.term
-		n.mu.Unlock()
 		n.send(from, &wire.RaftAppendResponse{Term: term, Success: false, MatchIndex: 0})
 		return
 	}
 	if m.Term > n.term || n.state != Follower {
-		n.becomeFollowerLocked(m.Term)
+		n.becomeFollower(m.Term)
 	} else {
-		n.resetElectionTimerLocked()
+		n.resetElectionTimer()
 	}
 	n.leader = m.Leader
 	n.hasLead = true
-	n.noteLeaderLocked()
+	n.noteLeader()
 
 	// Consistency check.
-	if m.PrevLogIndex > n.lastIndexLocked() || n.termAtLocked(m.PrevLogIndex) != m.PrevLogTerm {
+	if m.PrevLogIndex > n.lastIndex() || n.termAt(m.PrevLogIndex) != m.PrevLogTerm {
 		// Hint the leader to back up to our log end (or below the
 		// conflicting prefix).
-		hint := n.lastIndexLocked()
+		hint := n.lastIndex()
 		if m.PrevLogIndex <= hint {
 			hint = m.PrevLogIndex - 1
 		}
 		term := n.term
-		n.mu.Unlock()
 		n.send(from, &wire.RaftAppendResponse{Term: term, Success: false, MatchIndex: hint})
 		return
 	}
@@ -582,7 +533,7 @@ func (n *Node) handleAppend(from wire.NodeID, m *wire.RaftAppend) {
 	grew := false
 	for _, e := range m.Entries {
 		idx++
-		if idx <= n.lastIndexLocked() {
+		if idx <= n.lastIndex() {
 			if n.log[idx-1].Term == e.Term {
 				continue // already have it
 			}
@@ -594,15 +545,14 @@ func (n *Node) handleAppend(from wire.NodeID, m *wire.RaftAppend) {
 	match := m.PrevLogIndex + uint64(len(m.Entries))
 	if m.LeaderCommit > n.commitIndex {
 		c := m.LeaderCommit
-		if last := n.lastIndexLocked(); c > last {
+		if last := n.lastIndex(); c > last {
 			c = last
 		}
 		n.commitIndex = c
 	}
 	term := n.term
-	appended := n.lastIndexLocked()
-	apply := n.collectApplyLocked()
-	n.mu.Unlock()
+	appended := n.lastIndex()
+	apply := n.collectApply()
 
 	if grew && n.onAppend != nil {
 		n.onAppend(appended, term)
@@ -612,15 +562,12 @@ func (n *Node) handleAppend(from wire.NodeID, m *wire.RaftAppend) {
 }
 
 func (n *Node) handleAppendResponse(from wire.NodeID, m *wire.RaftAppendResponse) {
-	n.mu.Lock()
 	delete(n.inflight, from)
 	if m.Term > n.term {
-		n.becomeFollowerLocked(m.Term)
-		n.mu.Unlock()
+		n.becomeFollower(m.Term)
 		return
 	}
 	if n.state != Leader || m.Term < n.term {
-		n.mu.Unlock()
 		return
 	}
 	resend := false
@@ -629,8 +576,8 @@ func (n *Node) handleAppendResponse(from wire.NodeID, m *wire.RaftAppendResponse
 			n.matchIndex[from] = m.MatchIndex
 		}
 		n.nextIndex[from] = m.MatchIndex + 1
-		n.advanceCommitLocked()
-		resend = n.nextIndex[from] <= n.lastIndexLocked()
+		n.advanceCommit()
+		resend = n.nextIndex[from] <= n.lastIndex()
 	} else {
 		next := m.MatchIndex + 1
 		if next < 1 {
@@ -643,8 +590,7 @@ func (n *Node) handleAppendResponse(from wire.NodeID, m *wire.RaftAppendResponse
 		}
 		resend = true
 	}
-	apply := n.collectApplyLocked()
-	n.mu.Unlock()
+	apply := n.collectApply()
 
 	n.runApplies(apply)
 	if resend {
@@ -652,11 +598,11 @@ func (n *Node) handleAppendResponse(from wire.NodeID, m *wire.RaftAppendResponse
 	}
 }
 
-// advanceCommitLocked moves commitIndex to the highest majority-replicated
+// advanceCommit moves commitIndex to the highest majority-replicated
 // index of the current term (Raft's commit rule).
-func (n *Node) advanceCommitLocked() {
-	for idx := n.lastIndexLocked(); idx > n.commitIndex; idx-- {
-		if n.termAtLocked(idx) != n.term {
+func (n *Node) advanceCommit() {
+	for idx := n.lastIndex(); idx > n.commitIndex; idx-- {
+		if n.termAt(idx) != n.term {
 			break // only current-term entries commit by counting
 		}
 		count := 0
@@ -672,8 +618,8 @@ func (n *Node) advanceCommitLocked() {
 	}
 }
 
-// collectApplyLocked returns the newly committed entries to apply.
-func (n *Node) collectApplyLocked() []wire.RaftEntry {
+// collectApply returns the newly committed entries to apply.
+func (n *Node) collectApply() []wire.RaftEntry {
 	if n.applyFn == nil || n.lastApplied >= n.commitIndex {
 		return nil
 	}

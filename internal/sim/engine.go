@@ -17,12 +17,25 @@ import (
 
 // Scheduler abstracts time for protocol code: the discrete-event Engine and
 // the wall-clock RealScheduler both implement it.
+//
+// Ownership contract: a node's protocol code runs only on its scheduler's
+// goroutine. Every timer callback, every message handler its transport
+// invokes, and every call into the node from outside (Start, Stop, block
+// injection, hooks) runs there, one at a time. An Engine runs everything on
+// the goroutine that calls Run/RunUntil (a ShardedEngine gives each shard's
+// nodes their shard engine); a RealScheduler runs everything on its event
+// loop, and other goroutines hand work in with RealScheduler.Post. Protocol
+// types therefore hold no locks, and random draws and sends happen in
+// program order on both runtimes.
 type Scheduler interface {
 	// Now returns the elapsed time since the start of the run.
 	Now() time.Duration
 	// After schedules fn to run once, d from now. A non-positive d means
 	// "as soon as possible" (still asynchronously, never inline).
 	After(d time.Duration, fn func()) Timer
+	// Every runs fn every interval at a fixed rate until the returned
+	// timer is stopped; the first firing is one interval from now.
+	Every(interval time.Duration, fn func()) Timer
 }
 
 // Timer is a handle to a scheduled callback.

@@ -21,7 +21,6 @@
 package statesync
 
 import (
-	"sync"
 	"time"
 
 	"fabricgossip/internal/ledger"
@@ -30,7 +29,7 @@ import (
 )
 
 // Host is the narrow view of a peer the state-sync engine needs. gossip.Core
-// implements it; all methods must be safe to call without external locking.
+// implements it.
 type Host interface {
 	// Height returns the in-order ledger height (next needed block).
 	Height() uint64
@@ -94,7 +93,6 @@ type Fetcher struct {
 	host Host
 	cfg  Config
 
-	mu sync.Mutex
 	// peers/heights are the advertised-heights view, stored densely:
 	// peers is sorted ascending and heights is parallel to it — two words
 	// per advertising peer instead of a map entry, and the candidate scan
@@ -140,8 +138,7 @@ func NewFetcher(host Host, cfg Config) *Fetcher {
 	}
 }
 
-// idxOf returns from's index in the sorted peers slice, or -1. Caller
-// holds mu.
+// idxOf returns from's index in the sorted peers slice, or -1.
 func (f *Fetcher) idxOf(from wire.NodeID) int {
 	lo, hi := 0, len(f.peers)
 	for lo < hi {
@@ -161,7 +158,6 @@ func (f *Fetcher) idxOf(from wire.NodeID) int {
 // Observe records a peer's advertised ledger height (from StateInfo).
 // Heights only ever rise; stale advertisements are ignored.
 func (f *Fetcher) Observe(from wire.NodeID, height uint64) {
-	f.mu.Lock()
 	if i := f.idxOf(from); i >= 0 {
 		if height > f.heights[i] {
 			f.heights[i] = height
@@ -189,7 +185,6 @@ func (f *Fetcher) Observe(from wire.NodeID, height uint64) {
 			f.maxAdvertised = height
 		}
 	}
-	f.mu.Unlock()
 }
 
 // Forget drops a peer's advertised height: recovery must not keep targeting
@@ -198,20 +193,16 @@ func (f *Fetcher) Observe(from wire.NodeID, height uint64) {
 // also pin the view if the peer later rejoins with an empty ledger. The
 // upper bound is not lowered here; the next scan tightens it.
 func (f *Fetcher) Forget(p wire.NodeID) {
-	f.mu.Lock()
 	if i := f.idxOf(p); i >= 0 {
 		copy(f.peers[i:], f.peers[i+1:])
 		f.peers = f.peers[:len(f.peers)-1]
 		copy(f.heights[i:], f.heights[i+1:])
 		f.heights = f.heights[:len(f.heights)-1]
 	}
-	f.mu.Unlock()
 }
 
 // Heights returns a copy of the advertised-heights view.
 func (f *Fetcher) Heights() map[wire.NodeID]uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	out := make(map[wire.NodeID]uint64, len(f.peers))
 	for i, p := range f.peers {
 		out[p] = f.heights[i]
@@ -221,12 +212,7 @@ func (f *Fetcher) Heights() map[wire.NodeID]uint64 {
 
 // NoteDeliver records an ordering-service delivery: the orderer is alive,
 // so anchor probing stands down.
-func (f *Fetcher) NoteDeliver() {
-	now := f.host.Now()
-	f.mu.Lock()
-	f.lastDeliver = now
-	f.mu.Unlock()
-}
+func (f *Fetcher) NoteDeliver() { f.lastDeliver = f.host.Now() }
 
 // Tick runs one intra-organization recovery round: if this peer's ledger is
 // behind the highest advertised height, it requests the consecutive missing
@@ -240,9 +226,7 @@ func (f *Fetcher) NoteDeliver() {
 // sent: the scan recomputes the true maximum and candidate set exactly.
 func (f *Fetcher) Tick() {
 	myH := f.host.Height()
-	f.mu.Lock()
 	if f.maxAdvertised <= myH {
-		f.mu.Unlock()
 		return
 	}
 	var bestH uint64
@@ -272,15 +256,11 @@ func (f *Fetcher) Tick() {
 	f.maxAdvertised = maxSeen
 	batch := uint64(f.cfg.Batch)
 	if bestH <= myH || len(candidates) == 0 {
-		f.mu.Unlock()
 		return
 	}
 	// The scan walks peers in ascending id order, so candidates are already
-	// in the canonical order the deterministic random pick requires. The
-	// draw stays under mu: the host's rng is not thread-safe and on the TCP
-	// runtime the periodic ticks fire on separate goroutines.
+	// in the canonical order the deterministic random pick requires.
 	best := candidates[f.host.Rand().Intn(len(candidates))]
-	f.mu.Unlock()
 
 	to := bestH
 	if batch > 0 && to > myH+batch {
@@ -302,9 +282,7 @@ func (f *Fetcher) AnchorTick() {
 	}
 	now := f.host.Now()
 	myH := f.host.Height()
-	f.mu.Lock()
 	if now-f.lastDeliver < f.cfg.OrdererStall {
-		f.mu.Unlock()
 		return
 	}
 	if f.probed && myH <= f.probeHeight {
@@ -318,7 +296,6 @@ func (f *Fetcher) AnchorTick() {
 	if batch == 0 {
 		batch = 32
 	}
-	f.mu.Unlock()
 
 	f.host.Send(target, &wire.StateRequest{From: myH, To: myH + batch})
 }
@@ -326,11 +303,9 @@ func (f *Fetcher) AnchorTick() {
 // HandleResponse stores a response's blocks and accounts the transfer.
 func (f *Fetcher) HandleResponse(m *wire.StateResponse) {
 	blocks := m.Blocks()
-	f.mu.Lock()
 	f.responsesIn++
 	f.blocksIn += uint64(len(blocks))
 	f.bytesIn += uint64(m.EncodedSize())
-	f.mu.Unlock()
 	for _, b := range blocks {
 		f.host.AddBlock(b)
 	}
@@ -344,10 +319,8 @@ func (f *Fetcher) HandleResponse(m *wire.StateResponse) {
 // request is answered by re-sending the cached message with zero
 // allocations and zero re-encoding.
 type Provider struct {
-	host Host
-	cfg  Config
-
-	mu    sync.Mutex
+	host  Host
+	cfg   Config
 	cache [providerCacheSize]cachedBatch
 
 	served       uint64
@@ -405,8 +378,6 @@ func (p *Provider) Serve(from wire.NodeID, req *wire.StateRequest) {
 // probe verifies). Blocks are immutable and never removed, so no other
 // invalidation exists.
 func (p *Provider) lookup(from, limit uint64) *wire.StateResponse {
-	p.mu.Lock()
-	var resp *wire.StateResponse
 	for i := range p.cache {
 		e := &p.cache[i]
 		if e.resp == nil || e.from != from || e.limit != limit {
@@ -414,21 +385,19 @@ func (p *Provider) lookup(from, limit uint64) *wire.StateResponse {
 		}
 		n := uint64(len(e.resp.Blocks()))
 		if from+n == limit || p.host.Block(from+n) == nil {
-			resp = e.resp
 			p.served++
 			p.servedCached++
+			return e.resp
 		}
-		break
+		return nil
 	}
-	p.mu.Unlock()
-	return resp
+	return nil
 }
 
 // store caches a freshly built response: it overwrites a stale entry for
 // the same range (a gap that since filled), then prefers an empty slot,
 // then evicts the lowest range — the one recovering peers have moved past.
 func (p *Provider) store(from, limit uint64, resp *wire.StateResponse) {
-	p.mu.Lock()
 	slot := -1
 	for i := range p.cache {
 		e := &p.cache[i]
@@ -455,7 +424,6 @@ func (p *Provider) store(from, limit uint64, resp *wire.StateResponse) {
 	}
 	p.cache[slot] = cachedBatch{from: from, limit: limit, resp: resp}
 	p.served++
-	p.mu.Unlock()
 }
 
 // --- stats ---
@@ -464,18 +432,14 @@ func (p *Provider) store(from, limit uint64, resp *wire.StateResponse) {
 func CollectStats(f *Fetcher, p *Provider) Stats {
 	var s Stats
 	if f != nil {
-		f.mu.Lock()
 		s.ResponsesIn = f.responsesIn
 		s.BlocksIn = f.blocksIn
 		s.BytesIn = f.bytesIn
 		s.AnchorProbes = f.anchorProbes
-		f.mu.Unlock()
 	}
 	if p != nil {
-		p.mu.Lock()
 		s.Served = p.served
 		s.ServedCached = p.servedCached
-		p.mu.Unlock()
 	}
 	return s
 }

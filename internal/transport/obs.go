@@ -12,7 +12,7 @@ import (
 // context's NIC feeds. The sim network holds one per shard (one total,
 // sequentially) so the per-message path stays single-writer and
 // allocation-free; the TCP runtime holds one backed by a concurrent
-// registry. Either half may be absent: a nil registry records no metrics,
+// registry, which its metrics scrape reads while the event loop records. Either half may be absent: a nil registry records no metrics,
 // a nil trace emits no events.
 type WireObs struct {
 	msgsOut  *obs.Counter

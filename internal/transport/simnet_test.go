@@ -163,7 +163,7 @@ func TestSimNetworkLossExemptTypeAlwaysDelivered(t *testing.T) {
 
 func TestSimNetworkTrafficAccounting(t *testing.T) {
 	e := sim.NewEngine(1)
-	tr := netmodel.NewTraffic(time.Second)
+	tr := netmodel.NewSimTraffic(time.Second)
 	n := NewSimNetwork(e, fixedModel(0), tr)
 	a, b := n.AddNode(), n.AddNode()
 	b.SetHandler(func(wire.NodeID, wire.Message) {})

@@ -1,21 +1,41 @@
 package transport
 
 import (
+	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fabricgossip/internal/netmodel"
+	"fabricgossip/internal/sim"
 	"fabricgossip/internal/wire"
 )
 
-// maxFrame bounds accepted frame sizes (a full block batch fits well
-// within it; anything larger is a protocol violation).
-const maxFrame = 256 << 20
+const (
+	// maxFrame bounds accepted frame sizes (a full block batch fits well
+	// within it; anything larger is a protocol violation).
+	maxFrame = 256 << 20
+	// frameChunk is the most readFrame allocates ahead of bytes actually
+	// received: a header's length claim alone never buys more.
+	frameChunk = 64 << 10
+	// sendQueueCap bounds each destination's queue of encoded frames. When
+	// a slow or dead peer lets it fill, the oldest frame is dropped: gossip
+	// tolerates loss, and a sender must never block on one peer.
+	sendQueueCap = 128
+	// dialTimeout and writeTimeout bound how long a writer goroutine waits
+	// on one peer before giving up on the frame (and, for writes, the
+	// connection).
+	dialTimeout  = 2 * time.Second
+	writeTimeout = 2 * time.Second
+	// maxDialBackoff caps the pause between failed dials to one peer.
+	maxDialBackoff = 2 * time.Second
+)
 
 // AddressBook resolves node ids to dialable addresses.
 type AddressBook interface {
@@ -36,35 +56,55 @@ func (b StaticAddressBook) Resolve(id wire.NodeID) (string, bool) {
 //
 //	[4-byte big-endian length][4-byte big-endian sender id][wire message]
 //
-// Connections to a destination are created on first use and cached.
+// The endpoint belongs to one event loop (a sim.RealScheduler), which runs
+// its node's protocol code: Send is called there, inbound frames are handed
+// to the handler there, and the traffic accountant is only touched there.
+// Send encodes on the caller — releasing a pooled envelope
+// (wire.Releasable) as soon as its bytes exist — and queues the frame for
+// the destination's writer goroutine, which dials and writes; it never
+// blocks on the network. Per-connection reader goroutines decode frames
+// and post them to the loop.
 type TCPEndpoint struct {
 	id      wire.NodeID
 	book    AddressBook
 	ln      net.Listener
+	loop    *sim.RealScheduler
 	traffic *netmodel.Traffic
 	start   time.Time
-	// wobs, when set, must be backed by a concurrent registry: sends and
-	// receives run on arbitrary connection goroutines.
+	// wobs, when set, must be backed by a concurrent registry: an HTTP
+	// scrape may read it while the loop records.
 	wobs *WireObs
-
-	mu      sync.Mutex
+	// handler is loop-owned.
 	handler Handler
-	conns   map[wire.NodeID]*sendConn
-	// all tracks every live connection — dialed and accepted — so Close
-	// can unblock their reader goroutines.
-	all    map[net.Conn]struct{}
+
+	// dropped counts frames that never made it onto a connection: queue
+	// overflow, failed dials and failed writes.
+	dropped atomic.Uint64
+
+	ctx    context.Context // cancelled by Close
+	cancel context.CancelFunc
+
+	mu     sync.Mutex
 	closed bool
-	wg     sync.WaitGroup
+	queues map[wire.NodeID]*sendQueue
+	// all tracks every live connection — dialed and accepted — so Close
+	// can unblock their reader and writer goroutines.
+	all map[net.Conn]struct{}
+	wg  sync.WaitGroup
 }
 
-type sendConn struct {
-	mu   sync.Mutex
-	conn net.Conn
+// sendQueue is one destination's bounded frame queue, drained by its own
+// writer goroutine.
+type sendQueue struct {
+	addr   string
+	wake   chan struct{} // capacity 1: "the queue may be non-empty"
+	mu     sync.Mutex
+	frames [][]byte
 }
 
-// ListenTCP starts an endpoint listening on addr (e.g. "127.0.0.1:0").
-// traffic may be nil.
-func ListenTCP(id wire.NodeID, addr string, book AddressBook, traffic *netmodel.Traffic) (*TCPEndpoint, error) {
+// ListenTCP starts an endpoint listening on addr (e.g. "127.0.0.1:0") whose
+// protocol code runs on loop. traffic may be nil.
+func ListenTCP(id wire.NodeID, addr string, book AddressBook, loop *sim.RealScheduler, traffic *netmodel.Traffic) (*TCPEndpoint, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
@@ -73,11 +113,13 @@ func ListenTCP(id wire.NodeID, addr string, book AddressBook, traffic *netmodel.
 		id:      id,
 		book:    book,
 		ln:      ln,
+		loop:    loop,
 		traffic: traffic,
 		start:   time.Now(),
-		conns:   make(map[wire.NodeID]*sendConn),
+		queues:  make(map[wire.NodeID]*sendQueue),
 		all:     make(map[net.Conn]struct{}),
 	}
+	ep.ctx, ep.cancel = context.WithCancel(context.Background())
 	ep.wg.Add(1)
 	go ep.acceptLoop()
 	return ep, nil
@@ -93,46 +135,31 @@ func (ep *TCPEndpoint) Addr() string { return ep.ln.Addr().String() }
 // ID implements Endpoint.
 func (ep *TCPEndpoint) ID() wire.NodeID { return ep.id }
 
-// SetHandler implements Endpoint.
-func (ep *TCPEndpoint) SetHandler(h Handler) {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	ep.handler = h
-}
+// SetHandler implements Endpoint. Call it on the loop, or before any
+// traffic can arrive.
+func (ep *TCPEndpoint) SetHandler(h Handler) { ep.handler = h }
 
-func (ep *TCPEndpoint) currentHandler() Handler {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	return ep.handler
-}
+// Dropped reports how many frames were discarded instead of written:
+// dropped from a full send queue, or lost to a failed dial or write.
+func (ep *TCPEndpoint) Dropped() uint64 { return ep.dropped.Load() }
 
 // ErrClosed is returned by Send after Close.
 var ErrClosed = errors.New("transport: endpoint closed")
 
-// Send implements Endpoint.
+// Send implements Endpoint. It runs on the loop and never blocks on the
+// destination: the frame is queued for the destination's writer.
 func (ep *TCPEndpoint) Send(to wire.NodeID, msg wire.Message) error {
-	sc, err := ep.connTo(to)
+	defer releaseMsg(msg)
+	q, err := ep.queueTo(to)
 	if err != nil {
 		return err
 	}
-	body := wire.Marshal(msg)
-	frame := make([]byte, 8+len(body))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(4+len(body)))
+	frame := make([]byte, 8, 8+msg.EncodedSize())
+	frame = wire.AppendMarshal(frame, msg)
+	binary.BigEndian.PutUint32(frame[0:4], uint32(len(frame)-4))
 	binary.BigEndian.PutUint32(frame[4:8], uint32(ep.id))
-	copy(frame[8:], body)
-
-	sc.mu.Lock()
-	_, werr := sc.conn.Write(frame)
-	sc.mu.Unlock()
-	if werr != nil {
-		// Connection went bad: forget it so the next send redials.
-		ep.mu.Lock()
-		if ep.conns[to] == sc {
-			delete(ep.conns, to)
-		}
-		ep.mu.Unlock()
-		_ = sc.conn.Close()
-		return fmt.Errorf("transport: send to %v: %w", to, werr)
+	if q.push(frame) {
+		ep.dropped.Add(1)
 	}
 	if ep.traffic != nil {
 		ep.traffic.Record(ep.id, to, msg.Type(), len(frame), time.Since(ep.start))
@@ -143,44 +170,129 @@ func (ep *TCPEndpoint) Send(to wire.NodeID, msg wire.Message) error {
 	return nil
 }
 
-func (ep *TCPEndpoint) connTo(to wire.NodeID) (*sendConn, error) {
+// queueTo returns the destination's send queue, creating it and starting
+// its writer on first use.
+func (ep *TCPEndpoint) queueTo(to wire.NodeID) (*sendQueue, error) {
 	ep.mu.Lock()
+	defer ep.mu.Unlock()
 	if ep.closed {
-		ep.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if sc, ok := ep.conns[to]; ok {
-		ep.mu.Unlock()
-		return sc, nil
+	if q, ok := ep.queues[to]; ok {
+		return q, nil
 	}
-	ep.mu.Unlock()
-
 	addr, ok := ep.book.Resolve(to)
 	if !ok {
 		return nil, fmt.Errorf("transport: no address for %v", to)
 	}
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial %v (%s): %w", to, addr, err)
-	}
+	q := &sendQueue{addr: addr, wake: make(chan struct{}, 1)}
+	ep.queues[to] = q
+	ep.wg.Add(1)
+	go ep.writeLoop(q)
+	return q, nil
+}
 
+// push appends a frame, dropping the oldest one if the queue is full, and
+// reports whether it dropped.
+func (q *sendQueue) push(frame []byte) (dropped bool) {
+	q.mu.Lock()
+	if len(q.frames) >= sendQueueCap {
+		q.frames[0] = nil
+		q.frames = q.frames[1:]
+		dropped = true
+	}
+	q.frames = append(q.frames, frame)
+	q.mu.Unlock()
+	select {
+	case q.wake <- struct{}{}:
+	default:
+	}
+	return dropped
+}
+
+func (q *sendQueue) pop() []byte {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if len(q.frames) == 0 {
+		return nil
+	}
+	f := q.frames[0]
+	q.frames[0] = nil
+	q.frames = q.frames[1:]
+	return f
+}
+
+// writeLoop is one destination's writer: the connection's only writer, so
+// frames need no send lock. It dials lazily, backs off after failed dials,
+// and bounds every write with a deadline so a peer that stops reading
+// costs its own queue, never the sender.
+func (ep *TCPEndpoint) writeLoop(q *sendQueue) {
+	defer ep.wg.Done()
+	var conn net.Conn
+	var backoff time.Duration
+	for {
+		frame := q.pop()
+		if frame == nil {
+			select {
+			case <-ep.ctx.Done():
+				return
+			case <-q.wake:
+				continue
+			}
+		}
+		if conn == nil {
+			c, err := ep.dial(q.addr)
+			if err != nil {
+				ep.dropped.Add(1)
+				if ep.ctx.Err() != nil {
+					return
+				}
+				backoff = min(max(2*backoff, 50*time.Millisecond), maxDialBackoff)
+				select {
+				case <-ep.ctx.Done():
+					return
+				case <-time.After(backoff):
+				}
+				continue
+			}
+			conn, backoff = c, 0
+		}
+		_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout)) // a failure here fails the Write too
+		if _, err := conn.Write(frame); err != nil {
+			ep.dropped.Add(1)
+			_ = conn.Close() // its reader unregisters it
+			conn = nil
+		}
+	}
+}
+
+// dial connects to addr and registers the connection; outbound connections
+// also carry inbound frames (full duplex), so it gets a reader too.
+func (ep *TCPEndpoint) dial(addr string) (net.Conn, error) {
+	d := net.Dialer{Timeout: dialTimeout}
+	conn, err := d.DialContext(ep.ctx, "tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	if !ep.track(conn) {
+		return nil, ErrClosed
+	}
+	return conn, nil
+}
+
+// track registers a live connection and starts its reader, or closes it if
+// the endpoint already shut down.
+func (ep *TCPEndpoint) track(conn net.Conn) bool {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	if ep.closed {
 		_ = conn.Close()
-		return nil, ErrClosed
+		return false
 	}
-	if sc, ok := ep.conns[to]; ok { // lost the race; keep the existing one
-		_ = conn.Close()
-		return sc, nil
-	}
-	sc := &sendConn{conn: conn}
-	ep.conns[to] = sc
 	ep.all[conn] = struct{}{}
-	// Outbound connections also carry inbound frames (full duplex).
 	ep.wg.Add(1)
 	go ep.readLoop(conn)
-	return sc, nil
+	return true
 }
 
 func (ep *TCPEndpoint) acceptLoop() {
@@ -190,17 +302,36 @@ func (ep *TCPEndpoint) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		ep.mu.Lock()
-		if ep.closed {
-			ep.mu.Unlock()
-			_ = conn.Close()
+		if !ep.track(conn) {
 			return
 		}
-		ep.all[conn] = struct{}{}
-		ep.wg.Add(1)
-		ep.mu.Unlock()
-		go ep.readLoop(conn)
 	}
+}
+
+var errBadFrame = errors.New("transport: frame length out of range")
+
+// readFrame reads one length-prefixed frame and returns its body (sender id
+// and wire message). The buffer grows only as bytes actually arrive, so a
+// header claiming a huge frame costs at most frameChunk plus what the peer
+// really sends.
+func readFrame(r io.Reader) ([]byte, error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
+	}
+	n := int64(binary.BigEndian.Uint32(hdr[:]))
+	if n < 4 || n > maxFrame {
+		return nil, errBadFrame
+	}
+	var buf bytes.Buffer
+	buf.Grow(int(min(n, frameChunk)))
+	if _, err := buf.ReadFrom(io.LimitReader(r, n)); err != nil {
+		return nil, err
+	}
+	if int64(buf.Len()) < n {
+		return nil, io.ErrUnexpectedEOF
+	}
+	return buf.Bytes(), nil
 }
 
 func (ep *TCPEndpoint) readLoop(conn net.Conn) {
@@ -211,34 +342,34 @@ func (ep *TCPEndpoint) readLoop(conn net.Conn) {
 		delete(ep.all, conn)
 		ep.mu.Unlock()
 	}()
-	var hdr [4]byte
 	for {
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			return
-		}
-		n := binary.BigEndian.Uint32(hdr[:])
-		if n < 4 || n > maxFrame {
-			return // protocol violation; drop the connection
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(conn, payload); err != nil {
-			return
+		payload, err := readFrame(conn)
+		if err != nil {
+			return // closed, truncated or oversized: drop the connection
 		}
 		from := wire.NodeID(binary.BigEndian.Uint32(payload[:4]))
 		msg, err := wire.Unmarshal(payload[4:])
 		if err != nil {
 			return // corrupt frame; drop the connection
 		}
-		if h := ep.currentHandler(); h != nil {
-			if ep.wobs != nil {
-				ep.wobs.Received(time.Since(ep.start), from, ep.id, msg.Type(), 4+len(payload))
-			}
-			h(from, msg)
-		}
+		size := 4 + len(payload)
+		ep.loop.Post(func() { ep.deliver(from, msg, size) })
 	}
 }
 
+// deliver hands one decoded frame to the handler, on the loop.
+func (ep *TCPEndpoint) deliver(from wire.NodeID, msg wire.Message, size int) {
+	if ep.handler == nil || ep.ctx.Err() != nil {
+		return
+	}
+	if ep.wobs != nil {
+		ep.wobs.Received(time.Since(ep.start), from, ep.id, msg.Type(), size)
+	}
+	ep.handler(from, msg)
+}
+
 // Close shuts the endpoint down and waits for its goroutines to exit.
+// Queued frames are discarded.
 func (ep *TCPEndpoint) Close() error {
 	ep.mu.Lock()
 	if ep.closed {
@@ -246,7 +377,7 @@ func (ep *TCPEndpoint) Close() error {
 		return nil
 	}
 	ep.closed = true
-	ep.conns = make(map[wire.NodeID]*sendConn)
+	ep.cancel()
 	all := make([]net.Conn, 0, len(ep.all))
 	for c := range ep.all {
 		all = append(all, c)
@@ -255,7 +386,7 @@ func (ep *TCPEndpoint) Close() error {
 
 	err := ep.ln.Close()
 	for _, c := range all {
-		_ = c.Close() // unblocks the reader goroutines
+		_ = c.Close() // unblocks readers and writers
 	}
 	ep.wg.Wait()
 	return err

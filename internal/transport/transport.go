@@ -5,8 +5,9 @@
 //   - SimNetwork delivers messages through the discrete-event engine with
 //     delays drawn from a netmodel.Model, recording every transmission in a
 //     netmodel.Traffic. All experiments run on it.
-//   - TCPNetwork ships real bytes over localhost/LAN TCP connections for
-//     live deployments (cmd/gossipnet).
+//   - TCPEndpoint ships real bytes over localhost/LAN TCP connections for
+//     live deployments (cmd/gossipnet), driven by a sim.RealScheduler
+//     event loop.
 //
 // Both are asynchronous and unreliable-by-contract: Send never blocks on
 // the receiver and delivery is not acknowledged, matching the gossip
@@ -17,10 +18,9 @@ import (
 	"fabricgossip/internal/wire"
 )
 
-// Handler receives messages delivered to an endpoint. The simulated network
-// invokes handlers sequentially on the engine goroutine; the TCP network
-// invokes them from per-connection reader goroutines, so handlers must be
-// safe for concurrent use when running live.
+// Handler receives messages delivered to an endpoint. Both networks invoke
+// it on the receiving node's scheduler goroutine (see sim.Scheduler): the
+// engine's for SimNetwork, the event loop's for TCPEndpoint.
 type Handler func(from wire.NodeID, msg wire.Message)
 
 // Endpoint is a node's attachment to a network.

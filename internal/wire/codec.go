@@ -106,8 +106,12 @@ type Message interface {
 }
 
 // Marshal encodes m as a type byte followed by the body.
-func Marshal(m Message) []byte {
-	b := &bufSink{buf: make([]byte, 0, m.EncodedSize())}
+func Marshal(m Message) []byte { return AppendMarshal(make([]byte, 0, m.EncodedSize()), m) }
+
+// AppendMarshal appends Marshal(m) to dst, so a transport can encode behind
+// its own frame header without a second copy.
+func AppendMarshal(dst []byte, m Message) []byte {
+	b := &bufSink{buf: dst}
 	b.byte(byte(m.Type()))
 	m.encode(b)
 	return b.buf

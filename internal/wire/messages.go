@@ -14,8 +14,8 @@ type Data struct {
 	Block   *ledger.Block
 	Counter uint32
 
-	// pool/refs tie the envelope to a DataPool free list on the simulated
-	// hot path. Unexported and never encoded; literal-built messages leave
+	// pool/refs tie the envelope to a DataPool free list on the push hot
+	// path. Unexported and never encoded; literal-built messages leave
 	// pool nil and Release is a no-op.
 	pool *DataPool
 	refs int32

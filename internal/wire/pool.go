@@ -2,11 +2,12 @@ package wire
 
 import "fabricgossip/internal/ledger"
 
-// Releasable is implemented by pool-managed messages. The simulated
-// transport releases a message once per delivery attempt — whether the
-// attempt was dropped at send time, skipped at a downed receiver, or handed
-// to the handler — so a sender that pre-sets the reference count to its
-// fan-out gets the envelope back exactly when the last copy terminates.
+// Releasable is implemented by pool-managed messages. Transports release a
+// message once per send — the simulated one when the delivery attempt
+// terminates (dropped at send time, skipped at a downed receiver, or handed
+// to the handler), the TCP one as soon as the frame is encoded — so a
+// sender that pre-sets the reference count to its fan-out gets the
+// envelope back exactly when the last copy terminates.
 //
 // Messages built with plain literals have no pool and Release is a no-op,
 // so the transport can release unconditionally.
@@ -14,9 +15,10 @@ type Releasable interface{ Release() }
 
 // DataPool is a free list of Data envelopes for the enhanced push path,
 // which otherwise allocates one envelope per spread round. It is
-// single-goroutine (per-protocol-instance on the simulated runtime): the
-// envelope never crosses an organization boundary, so every Get and Release
-// happens on the owning shard's goroutine.
+// single-goroutine (per protocol instance): every Get and Release happens on
+// the owning node's scheduler goroutine — the envelope never crosses an
+// organization boundary on the sharded engine, and the TCP transport
+// releases it inside Send.
 type DataPool struct {
 	free []*Data
 	// outstanding counts envelopes checked out and not yet fully released
