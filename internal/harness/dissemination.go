@@ -37,10 +37,11 @@ type DisseminationResult struct {
 	WallBlocks int
 }
 
-// RunDissemination builds an organization of Params.NumPeers peers over the
-// calibrated LAN model, injects Params.NumBlocks blocks at the leader peer
-// on the block interval, and measures per-peer/per-block dissemination
-// latency and per-peer bandwidth.
+// RunDissemination builds a one-organization Network of Params.NumPeers
+// peers over the calibrated LAN model, appends Params.NumBlocks blocks to
+// the ordering service on the block interval (each streams to the leader
+// peer), and measures per-peer/per-block dissemination latency and per-peer
+// bandwidth.
 func RunDissemination(p Params) (*DisseminationResult, error) {
 	rec := metrics.NewLatencyRecorder()
 	// leaderSeen[num] is the dissemination start: the leader's reception
@@ -48,7 +49,12 @@ func RunDissemination(p Params) (*DisseminationResult, error) {
 	leaderSeen := make(map[uint64]time.Duration, p.NumBlocks)
 	received := make([]int, p.NumBlocks) // peers holding each block
 
-	org, err := NewOrg(p, WithCoreHook(func(i int, core *gossip.Core) {
+	n, err := NewNetwork(NetworkParams{
+		Seed:    p.Seed,
+		Variant: p.Variant,
+		Orgs:    []OrgSpec{{Peers: p.NumPeers, Enhanced: &p.Enhanced}},
+		Bucket:  p.Bucket,
+	}, WithNetworkCoreHook(func(_ int, core *gossip.Core) {
 		self := core.ID()
 		core.OnFirstReception(func(b *ledger.Block, at time.Duration) {
 			if self == 0 {
@@ -73,14 +79,14 @@ func RunDissemination(p Params) (*DisseminationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	engine, traffic := org.Engine, org.Traffic
-	org.StartAll()
+	engine, traffic := n.Engine, n.Traffic
+	n.StartAll()
 
 	// Background floor: the paper's ≈0.4 MB/s of non-dissemination system
 	// traffic per peer, accounted once per simulated second.
 	if p.BackgroundBytesPerSec > 0 {
 		half := int(p.BackgroundBytesPerSec / 2)
-		for _, id := range org.Peers {
+		for _, id := range n.Orgs[0].Peers {
 			id := id
 			engine.Every(time.Second, func() {
 				traffic.Record(id, id, wire.TypeAlive, half, engine.Now())
@@ -91,14 +97,12 @@ func RunDissemination(p Params) (*DisseminationResult, error) {
 	blocks := BuildChain(p.NumBlocks, p.TxPerBlock, p.TxPayload, p.Seed)
 	for i, b := range blocks {
 		b := b
-		engine.At(time.Duration(i)*p.BlockInterval, func() {
-			org.DeliverBlock(b)
-		})
+		engine.At(time.Duration(i)*p.BlockInterval, func() { n.Append(b) })
 	}
 
 	end := time.Duration(p.NumBlocks-1)*p.BlockInterval + p.Tail
 	engine.RunUntil(end)
-	org.StopAll()
+	n.StopAll()
 
 	complete := 0
 	for _, got := range received {
@@ -111,7 +115,7 @@ func RunDissemination(p Params) (*DisseminationResult, error) {
 		Latencies:         rec,
 		Traffic:           traffic,
 		LeaderID:          0,
-		RegularID:         wire.NodeID(1 + p.Seed%int64(p.NumPeers-1)),
+		RegularID:         regularPeer(p.Seed, p.NumPeers),
 		NumBuckets:        int(end/p.Bucket) + 1,
 		BlockBytes:        wire.BlockEncodedSize(blocks[0]),
 		BodyTransmissions: traffic.CountOf(wire.TypeData) + traffic.CountOf(wire.TypePullData),
@@ -119,6 +123,17 @@ func RunDissemination(p Params) (*DisseminationResult, error) {
 		WallBlocks:        complete,
 	}
 	return res, nil
+}
+
+// regularPeer picks the seed's non-leader peer in [1, numPeers) whose
+// bandwidth the figures plot beside the leader's, for any seed sign.
+func regularPeer(seed int64, numPeers int) wire.NodeID {
+	m := int64(numPeers - 1)
+	r := seed % m
+	if r < 0 {
+		r += m
+	}
+	return wire.NodeID(1 + r)
 }
 
 // BuildChain constructs a hash-linked chain of blocks with the workload's

@@ -321,3 +321,20 @@ func TestConflictAccountingCrossCheckDeterministic(t *testing.T) {
 		t.Fatalf("same seed diverged: %+v vs %+v", a, b)
 	}
 }
+
+// The plotted regular peer is a non-leader member of the organization for
+// every seed, negative ones included, so its bandwidth series is real.
+func TestRegularPeerInRangeForNegativeSeed(t *testing.T) {
+	for _, seed := range []int64{-3, -1, -39, 1, 38} {
+		res, err := RunDissemination(QuickScale(DefaultParams(VariantOriginal, seed), 10, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id := int(res.RegularID); id < 1 || id >= res.Params.NumPeers {
+			t.Fatalf("seed %d: regular peer %d outside [1, %d)", seed, id, res.Params.NumPeers)
+		}
+		if avg := res.Traffic.NodeAverage(res.RegularID, res.NumBuckets); avg <= 0 {
+			t.Fatalf("seed %d: regular peer %d has an empty bandwidth series", seed, res.RegularID)
+		}
+	}
+}

@@ -23,6 +23,12 @@ type OrgSpec struct {
 	// organization; empty inherits NetworkParams.Variant. Mixed networks
 	// (some orgs original, some enhanced) are a first-class configuration.
 	Variant Variant
+	// Enhanced optionally pins the enhanced protocol's configuration for
+	// this organization (the paper's ablations: Figs. 10-12). Nil derives it
+	// from the organization's size: enhanced.ConfigFor with the paper's
+	// fout=4, TTLdirect=2 and pe=1e-6, falling back to
+	// enhanced.DefaultConfig where the analytic table has no entry.
+	Enhanced *enhanced.Config
 }
 
 // NetworkParams configures a multi-organization network: the paper's
@@ -50,11 +56,6 @@ type NetworkParams struct {
 	// RedeliverBatch caps how many backlogged blocks one retry streams to
 	// an organization (default 32), pacing deep catch-ups.
 	RedeliverBatch int
-	// Fout and TTLDirect shape each enhanced organization's configuration,
-	// computed per organization size via enhanced.ConfigFor. Zero defaults
-	// to the paper's fout=4, TTLdirect=2.
-	Fout      int
-	TTLDirect uint32
 
 	// AnchorRecovery enables cross-organization state transfer: each
 	// organization designates its AnchorsPerOrg lowest-indexed peers as
@@ -132,12 +133,6 @@ func (p NetworkParams) withDefaults() NetworkParams {
 	if p.RedeliverBatch == 0 {
 		p.RedeliverBatch = 32
 	}
-	if p.Fout == 0 {
-		p.Fout = 4
-	}
-	if p.TTLDirect == 0 {
-		p.TTLDirect = 2
-	}
 	if p.AnchorsPerOrg == 0 {
 		p.AnchorsPerOrg = 1
 	}
@@ -192,10 +187,11 @@ func (d *OrgDomain) Size() int { return d.Hi - d.Lo }
 // dissemination stays within each organization; the ordering service is the
 // only cross-organization path, exactly the paper's deployment shape.
 //
-// It generalizes Org: global peer indices are dense across organizations
-// (org 0 owns [0, M0), org 1 owns [M0, M0+M1), ...), the orderer endpoint
-// is the last node, and the fault surface (Crash, Restart, partitions via
-// Net) operates on global indices.
+// A one-organization Network is the paper's §V evaluation deployment
+// (Figures 4-14 and Table II). Global peer indices are dense across
+// organizations (org 0 owns [0, M0), org 1 owns [M0, M0+M1), ...), the
+// orderer endpoint follows the last peer, and the fault surface (Crash,
+// Restart, partitions via Net) operates on global indices.
 type Network struct {
 	Params NetworkParams
 	// Engine is the engine scenario/control code schedules on. Sequential
@@ -366,15 +362,9 @@ func NewNetwork(p NetworkParams, opts ...NetworkOption) (*Network, error) {
 			original: original.DefaultConfig(),
 		}
 		if variant == VariantEnhanced {
-			cfg, err := enhanced.ConfigFor(spec.Peers, p.Fout, 1e-6, p.TTLDirect)
+			cfg, err := enhancedConfig(spec)
 			if err != nil {
-				// Tiny organizations can fall below the analytic table's
-				// domain for the requested fan-out; fall back to the
-				// size-derived default.
-				cfg, err = enhanced.DefaultConfig(spec.Peers)
-				if err != nil {
-					return nil, fmt.Errorf("harness: org %d: %w", i, err)
-				}
+				return nil, fmt.Errorf("harness: org %d: %w", i, err)
 			}
 			d.enhanced = cfg
 		}
@@ -421,6 +411,22 @@ func NewNetwork(p NetworkParams, opts ...NetworkOption) (*Network, error) {
 		n.lastDeliverAt[i] = -1
 	}
 	return n, nil
+}
+
+// enhancedConfig resolves an enhanced organization's protocol
+// configuration: the spec's pinned one, or the paper's fout=4, TTLdirect=2
+// derived for the organization's size.
+func enhancedConfig(spec OrgSpec) (enhanced.Config, error) {
+	if spec.Enhanced != nil {
+		return *spec.Enhanced, nil
+	}
+	cfg, err := enhanced.ConfigFor(spec.Peers, 4, 1e-6, 2)
+	if err != nil {
+		// Tiny organizations can fall below the analytic table's domain
+		// for fout=4; fall back to the size-derived default.
+		return enhanced.DefaultConfig(spec.Peers)
+	}
+	return cfg, nil
 }
 
 // buildCore constructs a fresh core (and protocol instance) for the peer at

@@ -176,3 +176,103 @@ func TestNetworkRejectsBadSpecs(t *testing.T) {
 		t.Fatal("unknown variant accepted")
 	}
 }
+
+func liveSees(c *gossip.Core, id wire.NodeID) bool {
+	for _, p := range c.LivePeers() {
+		if p == id {
+			return true
+		}
+	}
+	return false
+}
+
+// A peer that restarts after a long uptime must be detected as live again
+// within a few heartbeat intervals: its fresh core's Alive sequences start
+// above the previous incarnation's, so survivors do not discard them as
+// replays.
+func TestRestartedPeerRejoinsMembershipPromptly(t *testing.T) {
+	n := buildNetwork(t, NetworkParams{Seed: 13, Orgs: []OrgSpec{{Peers: 6}}})
+	n.StartAll()
+	// Long uptime: the old incarnation racks up ~30 heartbeat sequences.
+	n.Engine.RunUntil(60 * time.Second)
+	if !liveSees(n.Cores[3], 5) {
+		t.Fatal("peer 5 not live before the crash")
+	}
+	n.Crash(5)
+	n.Engine.RunUntil(70 * time.Second)
+	if liveSees(n.Cores[3], 5) {
+		t.Fatal("crashed peer still in the live view")
+	}
+	n.Restart(5)
+	// Within a few alive intervals — not another 60 s — the rejoin shows.
+	n.Engine.RunUntil(75 * time.Second)
+	if !liveSees(n.Cores[3], 5) {
+		t.Fatal("restarted peer not re-detected within a few heartbeats")
+	}
+}
+
+func TestCrashRestartLifecycle(t *testing.T) {
+	n := buildNetwork(t, NetworkParams{Seed: 13, Orgs: []OrgSpec{{Peers: 4}}})
+	n.StartAll()
+	if n.LiveCount() != 4 || n.Crashed(2) {
+		t.Fatal("fresh network in wrong state")
+	}
+	n.Crash(2)
+	n.Crash(2) // idempotent
+	if n.LiveCount() != 3 || !n.Crashed(2) {
+		t.Fatal("crash not reflected")
+	}
+	old := n.Cores[2]
+	fresh := n.Restart(2)
+	if fresh == old {
+		t.Fatal("restart did not build a fresh core")
+	}
+	if n.Restart(2) != fresh {
+		t.Fatal("restart of a live peer must be a no-op")
+	}
+	if n.LiveCount() != 4 {
+		t.Fatal("restart not reflected in live count")
+	}
+}
+
+// The ordering service streams to a peer it can reach: with the elected
+// leader on the far side of a partition, an appended block goes to the
+// orderer-side leader instead of silently vanishing into the cut, and a
+// total cut delivers nothing.
+func TestNetworkAppendRespectsPartition(t *testing.T) {
+	var targets []int
+	n := buildNetwork(t, NetworkParams{Seed: 13, Orgs: []OrgSpec{{Peers: 6}}},
+		WithDeliverHook(func(_, peer int, _ *ledger.Block, _ bool) {
+			targets = append(targets, peer)
+		}))
+	n.StartAll()
+	// Crash peers 0-2; the elected leader is now peer 3.
+	for i := 0; i < 3; i++ {
+		n.Crash(i)
+	}
+	if lead := n.OrgLeader(0); lead != 3 {
+		t.Fatalf("leader = %d, want 3", lead)
+	}
+	// Partition the orderer with {0, 1, 4, 5}; peers 2-3 are cut off.
+	n.Net.Partition(
+		[]wire.NodeID{0, 1, 4, 5, n.Orderer.ID()},
+		[]wire.NodeID{2, 3},
+	)
+	chain := BuildChain(2, 2, 64, 1)
+	n.Append(chain[0])
+	if len(targets) != 1 || targets[0] != 4 {
+		t.Fatalf("delivered to peers %v, want [4] (lowest live peer the orderer reaches)", targets)
+	}
+	n.Engine.RunFor(time.Second)
+	if n.Cores[4].Height() != 1 {
+		t.Fatal("reachable peer never received the block")
+	}
+	// Cut off entirely: neither the append nor the redelivery pump reaches
+	// any peer.
+	n.Net.Partition([]wire.NodeID{n.Orderer.ID()}, []wire.NodeID{0, 1, 2, 3, 4, 5})
+	n.Append(chain[1])
+	n.Engine.RunFor(3 * time.Second)
+	if len(targets) != 1 {
+		t.Fatalf("delivery into a total cut targeted peers %v", targets[1:])
+	}
+}

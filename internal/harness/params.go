@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"fabricgossip/internal/gossip/enhanced"
-	"fabricgossip/internal/gossip/original"
 )
 
 // Variant selects the dissemination protocol under test.
@@ -33,10 +32,9 @@ type Params struct {
 	TxPerBlock int
 	TxPayload  int
 
+	// Variant selects the protocol; the original one always runs
+	// original.DefaultConfig (stock Fabric settings).
 	Variant Variant
-	// Original holds the stock-protocol parameters (used when Variant is
-	// VariantOriginal).
-	Original original.Config
 	// Enhanced holds the enhanced-protocol parameters (used when Variant
 	// is VariantEnhanced).
 	Enhanced enhanced.Config
@@ -65,7 +63,6 @@ func DefaultParams(v Variant, seed int64) Params {
 		TxPerBlock:            50,
 		TxPayload:             3000,
 		Variant:               v,
-		Original:              original.DefaultConfig(),
 		Tail:                  500 * time.Second,
 		Bucket:                10 * time.Second,
 		BackgroundBytesPerSec: 400_000,

@@ -8,16 +8,11 @@ import (
 	"fabricgossip/internal/chaincode"
 	"fabricgossip/internal/client"
 	"fabricgossip/internal/endorse"
-	"fabricgossip/internal/gossip"
-	"fabricgossip/internal/gossip/enhanced"
-	"fabricgossip/internal/gossip/original"
 	"fabricgossip/internal/ledger"
 	"fabricgossip/internal/msp"
-	"fabricgossip/internal/netmodel"
 	"fabricgossip/internal/order"
 	"fabricgossip/internal/peer"
 	"fabricgossip/internal/raft"
-	"fabricgossip/internal/sim"
 	"fabricgossip/internal/transport"
 	"fabricgossip/internal/wire"
 )
@@ -27,9 +22,9 @@ import (
 type ConflictParams struct {
 	Seed     int64
 	NumPeers int
-	Variant  Variant
-	Original original.Config
-	Enhanced enhanced.Config
+	// Variant selects the protocol: original.DefaultConfig, or the
+	// enhanced configuration derived for NumPeers (fout=4, TTLdirect=2).
+	Variant Variant
 
 	// Keys integers are each incremented Rounds times, one permutation of
 	// all keys per round, at TxRate transactions per second (paper: 100
@@ -55,11 +50,10 @@ type ConflictParams struct {
 // DefaultConflictParams returns the paper's Table II workload for one
 // variant and block period.
 func DefaultConflictParams(v Variant, period time.Duration, seed int64) ConflictParams {
-	p := ConflictParams{
+	return ConflictParams{
 		Seed:            seed,
 		NumPeers:        100,
 		Variant:         v,
-		Original:        original.DefaultConfig(),
 		Keys:            100,
 		Rounds:          100,
 		TxRate:          5,
@@ -67,12 +61,6 @@ func DefaultConflictParams(v Variant, period time.Duration, seed int64) Conflict
 		MaxTxPerBlock:   50,
 		ValidationPerTx: 50 * time.Millisecond,
 	}
-	cfg, err := enhanced.ConfigFor(p.NumPeers, 4, 1e-6, 2)
-	if err != nil {
-		panic(err) // statically known-good parameters
-	}
-	p.Enhanced = cfg
-	return p
 }
 
 // ConflictResult reports one run's outcome.
@@ -92,14 +80,18 @@ type ConflictResult struct {
 	MeanTxPerBlock float64
 }
 
-// RunConflictExperiment runs one full EOV pipeline experiment and counts
-// validation-time conflicts.
+// RunConflictExperiment runs one full EOV pipeline experiment on a
+// one-organization Network and counts validation-time conflicts.
 func RunConflictExperiment(p ConflictParams) (*ConflictResult, error) {
-	if p.NumPeers < 2 {
-		return nil, fmt.Errorf("harness: need at least 2 peers")
+	n, err := NewNetwork(NetworkParams{
+		Seed:    p.Seed,
+		Variant: p.Variant,
+		Orgs:    []OrgSpec{{Peers: p.NumPeers}},
+	})
+	if err != nil {
+		return nil, err
 	}
-	engine := sim.NewEngine(p.Seed)
-	net := transport.NewSimNetwork(engine, netmodel.LAN(), netmodel.NewSimTraffic(10*time.Second))
+	engine := n.Engine
 
 	// Identities: an MSP certifies the orderer and the endorsing peer.
 	idRng := rand.New(rand.NewSource(p.Seed + 1))
@@ -120,50 +112,31 @@ func RunConflictExperiment(p ConflictParams) (*ConflictResult, error) {
 	// validate the same 10,000 transactions without 1M Ed25519 verifies.
 	checker := policy.Checker()
 
-	peerIDs := make([]wire.NodeID, p.NumPeers)
-	for i := range peerIDs {
-		peerIDs[i] = wire.NodeID(i)
-	}
-
 	peers := make([]*peer.Peer, p.NumPeers)
-	for i := 0; i < p.NumPeers; i++ {
-		ep := net.AddNode()
-		gcfg := gossip.DefaultConfig(ep.ID(), peerIDs)
-		var proto gossip.Protocol
-		switch p.Variant {
-		case VariantOriginal:
-			proto = original.New(p.Original)
-		case VariantEnhanced:
-			proto = enhanced.New(p.Enhanced)
-		default:
-			return nil, fmt.Errorf("harness: unknown variant %q", p.Variant)
-		}
-		core := gossip.New(gcfg, ep, engine, engine.Rand("gossip"), proto)
+	for i, core := range n.Cores {
 		peers[i] = peer.New(core, checker, engine, peer.Config{
 			ValidationPerTx: p.ValidationPerTx,
 			OrdererKey:      ordererID.Key,
 		})
 	}
 
-	// Ordering service: one delivery endpoint on the same network; cut
-	// blocks go to the leader peer (peer 0). The consenter is solo by
+	// Ordering service: cut blocks go through the network's orderer
+	// endpoint to the leader peer (peer 0). The consenter is solo by
 	// default, or a Raft cluster when RaftOrderers > 0.
-	ordererEp := net.AddNode()
 	oCfg := order.Config{MaxTxPerBlock: p.MaxTxPerBlock, BatchTimeout: p.BlockPeriod}
-	deliver := func(b *ledger.Block) { _ = ordererEp.Send(0, &wire.DeliverBlock{Block: b}) }
 	var service *order.Service
 	if p.RaftOrderers > 0 {
 		raftIDs := make([]wire.NodeID, p.RaftOrderers)
 		raftEps := make([]*transport.SimEndpoint, p.RaftOrderers)
 		for i := range raftIDs {
-			raftEps[i] = net.AddNode()
+			raftEps[i] = n.Net.AddNode()
 			raftIDs[i] = raftEps[i].ID()
 		}
 		for i := 0; i < p.RaftOrderers; i++ {
 			node := raft.New(raft.DefaultConfig(raftIDs[i], raftIDs), raftEps[i], engine, engine.Rand("raft"))
 			d := func(*ledger.Block) {} // only the lead service delivers
 			if i == 0 {
-				d = deliver
+				d = n.Append
 			}
 			svc := order.NewService(oCfg, engine, raft.NewConsenter(node, engine), ordererSigner, d)
 			if i == 0 {
@@ -172,17 +145,14 @@ func RunConflictExperiment(p ConflictParams) (*ConflictResult, error) {
 			node.Start()
 		}
 	} else {
-		service = order.NewService(oCfg, engine, order.NewSolo(engine, 5*time.Millisecond), ordererSigner, deliver)
+		service = order.NewService(oCfg, engine, order.NewSolo(engine, 5*time.Millisecond), ordererSigner, n.Append)
 	}
-	ordererEp.SetHandler(func(_ wire.NodeID, msg wire.Message) {
+	n.Orderer.SetHandler(func(_ wire.NodeID, msg wire.Message) {
 		if st, ok := msg.(*wire.SubmitTx); ok {
 			_ = service.Broadcast(st.Tx)
 		}
 	})
-
-	for _, pr := range peers {
-		pr.Gossip().Start()
-	}
+	n.StartAll()
 
 	// The single endorsing peer (paper: "we focus on validation-time
 	// conflicts and therefore use a single endorsing peer"). Peer 1 is a
@@ -193,9 +163,9 @@ func RunConflictExperiment(p ConflictParams) (*ConflictResult, error) {
 
 	// The client submits proposals through the endorser and broadcasts
 	// the assembled transaction to the ordering node over the network.
-	clientEp := net.AddNode()
+	clientEp := n.Net.AddNode()
 	cl, err := client.New("client0", []*endorse.Endorser{endorser}, func(tx *ledger.Transaction) error {
-		return clientEp.Send(ordererEp.ID(), &wire.SubmitTx{Tx: tx})
+		return clientEp.Send(n.Orderer.ID(), &wire.SubmitTx{Tx: tx})
 	})
 	if err != nil {
 		return nil, err
@@ -227,9 +197,7 @@ func RunConflictExperiment(p ConflictParams) (*ConflictResult, error) {
 	// through ordering, dissemination and validation everywhere.
 	end := time.Duration(total)*interval + p.BlockPeriod + 60*time.Second
 	engine.RunUntil(end)
-	for _, pr := range peers {
-		pr.Gossip().Stop()
-	}
+	n.StopAll()
 
 	// Paper accounting: conflicts = total - sum of the final counters.
 	var sum uint64
@@ -270,10 +238,6 @@ func Table2Report(seed int64, quick bool) (Report, error) {
 			p.NumPeers = 30
 			p.Keys = 30
 			p.Rounds = 10
-			cfg, err := enhanced.ConfigFor(p.NumPeers, 4, 1e-6, 2)
-			if err == nil {
-				p.Enhanced = cfg
-			}
 			return p
 		}
 	}

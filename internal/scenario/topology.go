@@ -65,7 +65,7 @@ func (t Topology) OrgHi(org int) int { return t.OrgLo(org) + t.Sizes[org] }
 // OrgSpan returns the organization's global peer indices.
 func (t Topology) OrgSpan(org int) []int { return span(t.OrgLo(org), t.OrgHi(org)) }
 
-// Uniform reports whether every organization has the same size.
+// IsUniform reports whether every organization has the same size.
 func (t Topology) IsUniform() bool {
 	for _, s := range t.Sizes[1:] {
 		if s != t.Sizes[0] {
