@@ -62,7 +62,7 @@ func main() {
 		b := b
 		net.Engine.At(time.Duration(i)*400*time.Millisecond, func() { net.Append(b) })
 	}
-	net.Engine.RunUntil(time.Duration(blocks)*400*time.Millisecond + 10*time.Second)
+	net.RunUntil(time.Duration(blocks)*400*time.Millisecond + 10*time.Second)
 	net.StopAll()
 
 	fmt.Printf("%d organizations x %d peers, %d blocks each:\n", orgs, peersPerOrg, blocks)

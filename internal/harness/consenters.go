@@ -82,9 +82,7 @@ func (n *Network) buildCluster(k int) {
 	for i := 0; i < k; i++ {
 		c.eps[i] = n.Net.AddNode()
 		ids[i] = c.eps[i].ID()
-		if n.se != nil {
-			n.Net.SetNodeShard(c.eps[i].ID(), len(n.Orgs))
-		}
+		n.Net.SetNodeShard(c.eps[i].ID(), n.ordShard())
 	}
 	c.nodes = make([]*raft.Node, k)
 	c.shims = make([]*raft.Consenter, k)

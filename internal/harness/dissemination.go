@@ -101,7 +101,7 @@ func RunDissemination(p Params) (*DisseminationResult, error) {
 	}
 
 	end := time.Duration(p.NumBlocks-1)*p.BlockInterval + p.Tail
-	engine.RunUntil(end)
+	n.RunUntil(end)
 	n.StopAll()
 
 	complete := 0

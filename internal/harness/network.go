@@ -103,14 +103,15 @@ type NetworkParams struct {
 
 	// Sharded partitions the simulation into one engine per organization
 	// plus one for the ordering service, run in conservative lock-step
-	// windows (sim.ShardedEngine). Organizations are already isolated
+	// windows (sim.NewShardedEngine). Organizations are already isolated
 	// gossip domains, so the only cross-shard traffic is ordering
 	// delivery, client submission, and anchor/statesync recovery — all of
 	// which carry at least the derived lookahead of simulated latency.
-	// Deterministic for a given seed regardless of GOMAXPROCS, but a
-	// *different* deterministic lineage than the sequential engine: the
-	// two cannot interleave same-instant events identically, so sharded
-	// fingerprints are compared sharded-to-sharded.
+	// False runs the coordinator's one-engine form (sim.NewSingleEngine).
+	// Both are deterministic for a given seed regardless of GOMAXPROCS, but
+	// they are *different* lineages: the two cannot interleave same-instant
+	// events identically, so sharded fingerprints are compared
+	// sharded-to-sharded.
 	Sharded bool
 	// FixedLookahead disables the sharded coordinator's adaptive barrier
 	// elision, forcing the full ceremony at every window edge. Adaptive
@@ -148,12 +149,13 @@ func (p NetworkParams) withDefaults() NetworkParams {
 // lookahead derives the sharded engine's conservative window width: a lower
 // bound on the simulated latency of every cross-shard message. The LAN
 // model's minimum propagation delay floors every send (Model.Delay starts
-// there and only adds), and when WANDelay separates the organizations onto
-// sites, every cross-shard pair additionally crosses a site boundary —
-// *except* under ConsenterSpread, which co-locates each consenter with one
-// organization's site, keeping some cross-shard pairs on the LAN floor.
-// Per-link and per-node extra delays only ever add latency, so they never
-// lower the bound.
+// there and only adds; TestLookaheadRule pins it positive, as
+// sim.NewShardedEngine requires), and when WANDelay separates the
+// organizations onto sites, every cross-shard pair additionally crosses a
+// site boundary — *except* under ConsenterSpread, which co-locates each
+// consenter with one organization's site, keeping some cross-shard pairs on
+// the LAN floor. Per-link and per-node extra delays only ever add latency,
+// so they never lower the bound.
 func (p NetworkParams) lookahead() time.Duration {
 	la := netmodel.LAN().PropMin
 	if p.WANDelay > 0 && !(p.Consenters > 0 && p.ConsenterSpread) {
@@ -194,14 +196,15 @@ func (d *OrgDomain) Size() int { return d.Hi - d.Lo }
 // Restart, partitions via Net) operates on global indices.
 type Network struct {
 	Params NetworkParams
-	// Engine is the engine scenario/control code schedules on. Sequential
-	// mode: the one engine running everything. Sharded mode: the
-	// coordinator's control engine — its events fire at window barriers
-	// with every shard quiescent, so existing At/Every call sites (fault
-	// actions, block injections, the redelivery pump, samplers) need no
-	// changes to become barrier-hosted.
-	Engine  *sim.Engine
-	Net     *transport.SimNetwork
+	// Engine is the coordinator's control engine, the one scenario/control
+	// code schedules on. In the one-engine form it runs everything; in the
+	// sharded form its events fire at window barriers with every shard
+	// quiescent, so At/Every call sites (fault actions, block injections,
+	// the redelivery pump, samplers) are barrier-hosted either way.
+	Engine *sim.Engine
+	Net    *transport.SimNetwork
+	// Traffic is the network-wide accountant: live in the one-engine form,
+	// filled from the per-shard accountants by TrafficView when sharded.
 	Traffic *netmodel.Traffic
 	Orgs    []*OrgDomain
 	// Cores is indexed by global peer index.
@@ -233,12 +236,14 @@ type Network struct {
 	// cluster is the replicated ordering service (nil in legacy mode).
 	cluster *consenterCluster
 
-	// Sharded-mode state (nil/zero in sequential mode). ordEngine is the
-	// engine the ordering service (legacy orderer timers, raft nodes,
-	// order services) runs on: the ordering shard's engine, or Engine
-	// sequentially. pumpWanted coalesces mid-window pump requests (a
-	// consenter committing a block cannot touch other shards' peers until
-	// the next barrier).
+	// se is the coordinator, never nil: organization shards come first and
+	// the ordering shard is last, so on the one-engine form every org and
+	// the ordering service map to shard 0. ordEngine is the ordering
+	// shard's engine (legacy orderer timers, raft nodes, order services).
+	// shardTraffics are the per-shard accountants TrafficView merges (none
+	// in the one-engine form). pumpWanted coalesces pump requests until the
+	// next barrier (a consenter committing a block mid-window cannot touch
+	// other shards' peers); the one-engine form drains it at once.
 	se            *sim.ShardedEngine
 	ordEngine     *sim.Engine
 	shardTraffics []*netmodel.Traffic
@@ -294,22 +299,6 @@ func NewNetwork(p NetworkParams, opts ...NetworkOption) (*Network, error) {
 		return nil, fmt.Errorf("harness: network needs at least one organization")
 	}
 	n := &Network{Params: p}
-	if p.Sharded {
-		if la := p.lookahead(); la > 0 {
-			// One shard per organization plus one for the ordering service.
-			n.se = sim.NewShardedEngine(p.Seed, len(p.Orgs)+1, la)
-			n.se.SetAdaptive(!p.FixedLookahead)
-		}
-		// Safe fallback: a non-positive lookahead admits no parallel
-		// window, so the network silently runs sequentially.
-	}
-	if n.se != nil {
-		n.Engine = n.se.Control()
-		n.ordEngine = n.se.Shard(len(p.Orgs))
-	} else {
-		n.Engine = sim.NewEngine(p.Seed)
-		n.ordEngine = n.Engine
-	}
 	for _, opt := range opts {
 		opt(n)
 	}
@@ -317,8 +306,17 @@ func NewNetwork(p NetworkParams, opts ...NetworkOption) (*Network, error) {
 	if p.TrafficTotals {
 		n.Traffic.TotalsOnly()
 	}
+	if p.Sharded {
+		// One shard per organization plus one for the ordering service.
+		n.se = sim.NewShardedEngine(p.Seed, len(p.Orgs)+1, p.lookahead())
+		n.se.SetAdaptive(!p.FixedLookahead)
+	} else {
+		n.se = sim.NewSingleEngine(p.Seed)
+	}
+	n.Engine = n.se.Control()
+	n.ordEngine = n.se.Shard(n.ordShard())
 	n.Net = transport.NewSimNetwork(n.Engine, netmodel.LAN(), n.Traffic)
-	if n.se != nil {
+	if p.Sharded {
 		// Each organization shard's accountant covers only its org's id
 		// range (peers get dense ids in org creation order), so dense
 		// tables scale with the org, not the network. The ordering shard
@@ -336,8 +334,8 @@ func NewNetwork(p NetworkParams, opts ...NetworkOption) (*Network, error) {
 			}
 		}
 		n.Net.EnableSharding(n.se, n.shardTraffics)
-		n.se.OnBarrier(n.drainPump)
 	}
+	n.se.OnBarrier(n.drainPump)
 	// The ordering service delivers over a reliable stream: uniform loss
 	// must not swallow a block before it enters an organization.
 	n.Net.SetLossExempt(wire.TypeDeliverBlock, true)
@@ -384,9 +382,7 @@ func NewNetwork(p NetworkParams, opts ...NetworkOption) (*Network, error) {
 		for g := d.Lo; g < d.Hi; g++ {
 			n.orgOf[g] = d.Index
 			n.eps[g] = n.Net.AddNode()
-			if n.se != nil {
-				n.Net.SetNodeShard(n.eps[g].ID(), d.Index)
-			}
+			n.Net.SetNodeShard(n.eps[g].ID(), n.orgShard(d.Index))
 			n.Cores[g] = n.buildCore(g)
 		}
 	}
@@ -394,9 +390,7 @@ func NewNetwork(p NetworkParams, opts ...NetworkOption) (*Network, error) {
 		n.buildCluster(p.Consenters)
 	} else {
 		n.Orderer = n.Net.AddNode()
-		if n.se != nil {
-			n.Net.SetNodeShard(n.Orderer.ID(), len(n.Orgs))
-		}
+		n.Net.SetNodeShard(n.Orderer.ID(), n.ordShard())
 	}
 	if p.WANDelay > 0 {
 		n.applyWAN(p.WANDelay)
@@ -451,8 +445,8 @@ func (n *Network) buildCore(global int) *gossip.Core {
 	default:
 		proto = enhanced.New(d.enhanced)
 	}
-	// Each org's cores run on the org's engine: the shard engine in sharded
-	// mode (with the shard's own "gossip" stream), the one engine otherwise.
+	// Each org's cores run on the org's shard engine, with the shard's own
+	// "gossip" stream.
 	eng := n.OrgEngine(d.Index)
 	core := gossip.New(cfg, ep, eng, eng.Rand("gossip"), proto)
 	for _, hook := range n.onCore {
@@ -531,61 +525,44 @@ func (n *Network) TotalPeers() int { return len(n.Cores) }
 // OrgOf returns the organization index owning the given global peer index.
 func (n *Network) OrgOf(global int) int { return n.orgOf[global] }
 
-// Sharded returns the conservative coordinator, or nil when the network
-// runs on the single sequential engine.
-func (n *Network) Sharded() *sim.ShardedEngine { return n.se }
+// Coordinator returns the simulation coordinator: sharded, or its one-engine
+// form. Never nil.
+func (n *Network) Coordinator() *sim.ShardedEngine { return n.se }
 
-// OrgEngine returns the engine the organization's peers run on: its shard
-// engine, or the one sequential engine.
-func (n *Network) OrgEngine(org int) *sim.Engine {
-	if n.se != nil {
-		return n.se.Shard(org)
-	}
-	return n.Engine
-}
+// orgShard returns the shard hosting an organization: its own, or shard 0 in
+// the one-engine form.
+func (n *Network) orgShard(org int) int { return min(org, n.ordShard()) }
+
+// ordShard returns the shard hosting the ordering service: the last one.
+func (n *Network) ordShard() int { return n.se.NumShards() - 1 }
+
+// OrgEngine returns the engine the organization's peers run on.
+func (n *Network) OrgEngine(org int) *sim.Engine { return n.se.Shard(n.orgShard(org)) }
 
 // EngineFor returns the engine the peer at the given global index runs on.
 func (n *Network) EngineFor(global int) *sim.Engine {
 	return n.OrgEngine(n.orgOf[global])
 }
 
-// OrdererEngine returns the engine the ordering service runs on: the
-// ordering shard's engine, or the one sequential engine.
+// OrdererEngine returns the engine the ordering service runs on.
 func (n *Network) OrdererEngine() *sim.Engine { return n.ordEngine }
 
-// RunUntil drives the simulation to time t, through the coordinator's
-// lock-step windows in sharded mode.
-func (n *Network) RunUntil(t time.Duration) {
-	if n.se != nil {
-		n.se.RunUntil(t)
-		return
-	}
-	n.Engine.RunUntil(t)
-}
+// RunUntil drives the simulation to time t through the coordinator.
+func (n *Network) RunUntil(t time.Duration) { n.se.RunUntil(t) }
 
 // ExecutedEvents returns the total simulation events run across all engines.
-func (n *Network) ExecutedEvents() uint64 {
-	if n.se != nil {
-		return n.se.Executed()
-	}
-	return n.Engine.Executed()
-}
+func (n *Network) ExecutedEvents() uint64 { return n.se.Executed() }
 
-// PeakPending returns the event queues' high-water mark (the largest single
-// engine's, in sharded mode).
-func (n *Network) PeakPending() int {
-	if n.se != nil {
-		return n.se.PeakPending()
-	}
-	return n.Engine.PeakPending()
-}
+// PeakPending returns the largest single engine's event-queue high-water
+// mark.
+func (n *Network) PeakPending() int { return n.se.PeakPending() }
 
 // TrafficView returns the network-wide traffic accounting: the live
-// accountant sequentially, or the per-shard accountants merged on first use
-// in sharded mode (a post-run reporting accessor there — traffic recorded
-// after the first call is not folded in).
+// accountant in the one-engine form, or the per-shard accountants merged on
+// first use when sharded (a post-run reporting accessor there — traffic
+// recorded after the first call is not folded in).
 func (n *Network) TrafficView() *netmodel.Traffic {
-	if n.se != nil && !n.trafficMerged {
+	if !n.trafficMerged {
 		n.trafficMerged = true
 		for _, t := range n.shardTraffics {
 			n.Traffic.Merge(t)
@@ -596,29 +573,23 @@ func (n *Network) TrafficView() *netmodel.Traffic {
 
 // AddClientNode attaches a workload client endpoint homed in the given
 // organization: it joins the org's WAN site (when sites are active) and the
-// org's shard (when sharded), so client traffic to the ordering service is
-// cross-site and cross-shard exactly like the org's peers'.
+// org's shard, so client traffic to the ordering service is cross-site and
+// cross-shard exactly like the org's peers'.
 func (n *Network) AddClientNode(org int) *transport.SimEndpoint {
 	ep := n.Net.AddNode()
 	if n.Params.WANDelay > 0 {
 		n.Net.SetNodeSite(ep.ID(), org)
 	}
-	if n.se != nil {
-		n.Net.SetNodeShard(ep.ID(), org)
-	}
+	n.Net.SetNodeShard(ep.ID(), n.orgShard(org))
 	return ep
 }
 
-// requestPump triggers ordering redelivery. Sequentially it pumps inline —
-// the legacy behavior, fingerprint-pinned. In sharded mode a pump touches
-// every organization's leader state, so mid-window requests (a consenter
-// applying a committed block, an election resolving) coalesce into one pump
-// at the next barrier, where all shards are quiescent.
+// requestPump triggers ordering redelivery. A pump touches every
+// organization's leader state, so requests (a consenter applying a committed
+// block, an election resolving) coalesce into one pump at the next barrier,
+// where all shards are quiescent. The one-engine form's RequestBarrier runs
+// the hook at once, which is the inline pump its fingerprints pin.
 func (n *Network) requestPump() {
-	if n.se == nil {
-		n.pumpAll()
-		return
-	}
 	n.pumpWanted = true
 	// The flush hook must not be elided by an adaptive coordinator.
 	n.se.RequestBarrier()

@@ -8,33 +8,19 @@ import (
 )
 
 // ObsContexts returns the number of observability emission contexts the
-// network needs: one per organization shard plus the ordering shard plus
-// the control plane in sharded mode, or a single context sequentially.
-// This file is the one owner of the layout; the scenario runner indexes
-// its obs.Tracer buffers and registries through these accessors.
-func (n *Network) ObsContexts() int {
-	if n.se != nil {
-		return len(n.Orgs) + 2
-	}
-	return 1
-}
+// network needs: one per engine the coordinator drives — each shard (orgs,
+// then the ordering service) and the control plane when sharded, the one
+// engine otherwise. Contexts 0..NumShards-1 are the shards. This file is the
+// one owner of the layout; the scenario runner indexes its obs.Tracer
+// buffers and registries through these accessors.
+func (n *Network) ObsContexts() int { return n.se.Contexts() }
 
 // OrdObsContext returns the emission-context index owning the ordering
 // service (consenter Raft nodes, order services, the deliver pump).
-func (n *Network) OrdObsContext() int {
-	if n.se != nil {
-		return len(n.Orgs)
-	}
-	return 0
-}
+func (n *Network) OrdObsContext() int { return n.ordShard() }
 
 // OrgObsContext returns the emission-context index owning an org's peers.
-func (n *Network) OrgObsContext(org int) int {
-	if n.se != nil {
-		return org
-	}
-	return 0
-}
+func (n *Network) OrgObsContext(org int) int { return n.orgShard(org) }
 
 // CtlObsContext returns the emission-context index of the control plane
 // (scenario actions, ordering-service deliveries, barriers): the last one.
@@ -69,13 +55,9 @@ func (n *Network) AttachObs(regs []*obs.Registry, traces []*obs.ShardTrace) {
 		return r, t
 	}
 
-	// Transport contexts are the shard engines: 1 sequentially, NumShards
-	// (orgs + ordering) sharded. The control context never touches a NIC.
-	nw := 1
-	if n.se != nil {
-		nw = n.se.NumShards()
-	}
-	wobs := make([]*transport.WireObs, nw)
+	// Transport contexts are the shard engines. The control context of a
+	// sharded run never touches a NIC.
+	wobs := make([]*transport.WireObs, n.se.NumShards())
 	for i := range wobs {
 		r, t := pick(i)
 		wobs[i] = transport.NewWireObs(r, t)

@@ -52,10 +52,7 @@ func TestShardedNetworkEngineLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	se := n.Sharded()
-	if se == nil {
-		t.Fatal("sharded network fell back sequential despite positive lookahead")
-	}
+	se := n.Coordinator()
 	if got, want := se.NumShards(), 3; got != want {
 		t.Fatalf("NumShards = %d, want %d (one per org + ordering)", got, want)
 	}
@@ -70,5 +67,41 @@ func TestShardedNetworkEngineLayout(t *testing.T) {
 	}
 	if n.OrdererEngine() != se.Shard(2) {
 		t.Error("ordering service is not on the last shard")
+	}
+}
+
+// A one-engine network runs every organization, the ordering service and
+// the control plane on the coordinator's single engine, with one emission
+// context and no barriers.
+func TestOneEngineNetworkLayout(t *testing.T) {
+	n, err := NewNetwork(NetworkParams{
+		Seed:       1,
+		Orgs:       []OrgSpec{{Peers: 2}, {Peers: 3}},
+		Consenters: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	se := n.Coordinator()
+	if se.NumShards() != 1 || se.Contexts() != 1 || n.ObsContexts() != 1 {
+		t.Fatalf("shards = %d, contexts = %d, obs contexts = %d; want 1/1/1",
+			se.NumShards(), se.Contexts(), n.ObsContexts())
+	}
+	for org := range n.Orgs {
+		if n.OrgEngine(org) != n.Engine || n.OrgObsContext(org) != 0 {
+			t.Errorf("org %d is not on the one engine", org)
+		}
+	}
+	if n.OrdererEngine() != n.Engine || n.OrdObsContext() != 0 || n.CtlObsContext() != 0 {
+		t.Error("ordering service or control plane is not on the one engine")
+	}
+	n.StartAll()
+	n.RunUntil(2 * time.Second)
+	n.StopAll()
+	if full, elided := se.BarrierStats(); full != 0 || elided != 0 {
+		t.Errorf("one-engine run counted barriers: full=%d elided=%d", full, elided)
+	}
+	if n.ExecutedEvents() != n.Engine.Executed() || n.ExecutedEvents() == 0 {
+		t.Errorf("ExecutedEvents = %d, engine executed %d", n.ExecutedEvents(), n.Engine.Executed())
 	}
 }

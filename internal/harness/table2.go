@@ -12,8 +12,6 @@ import (
 	"fabricgossip/internal/msp"
 	"fabricgossip/internal/order"
 	"fabricgossip/internal/peer"
-	"fabricgossip/internal/raft"
-	"fabricgossip/internal/transport"
 	"fabricgossip/internal/wire"
 )
 
@@ -40,11 +38,6 @@ type ConflictParams struct {
 	// ValidationPerTx is the modelled per-transaction validation cost
 	// (paper: ≈50 ms).
 	ValidationPerTx time.Duration
-	// RaftOrderers, when > 0, replaces the solo consenter with a Raft
-	// cluster of that many ordering nodes (the paper used a 4-node Kafka
-	// CFT cluster; Fabric v1.4.1 replaced it with Raft). The lead service
-	// delivers blocks to the organization's leader peer.
-	RaftOrderers int
 }
 
 // DefaultConflictParams returns the paper's Table II workload for one
@@ -120,33 +113,10 @@ func RunConflictExperiment(p ConflictParams) (*ConflictResult, error) {
 		})
 	}
 
-	// Ordering service: cut blocks go through the network's orderer
-	// endpoint to the leader peer (peer 0). The consenter is solo by
-	// default, or a Raft cluster when RaftOrderers > 0.
+	// Ordering service: a solo consenter whose cut blocks go through the
+	// network's orderer endpoint to the leader peer (peer 0).
 	oCfg := order.Config{MaxTxPerBlock: p.MaxTxPerBlock, BatchTimeout: p.BlockPeriod}
-	var service *order.Service
-	if p.RaftOrderers > 0 {
-		raftIDs := make([]wire.NodeID, p.RaftOrderers)
-		raftEps := make([]*transport.SimEndpoint, p.RaftOrderers)
-		for i := range raftIDs {
-			raftEps[i] = n.Net.AddNode()
-			raftIDs[i] = raftEps[i].ID()
-		}
-		for i := 0; i < p.RaftOrderers; i++ {
-			node := raft.New(raft.DefaultConfig(raftIDs[i], raftIDs), raftEps[i], engine, engine.Rand("raft"))
-			d := func(*ledger.Block) {} // only the lead service delivers
-			if i == 0 {
-				d = n.Append
-			}
-			svc := order.NewService(oCfg, engine, raft.NewConsenter(node, engine), ordererSigner, d)
-			if i == 0 {
-				service = svc
-			}
-			node.Start()
-		}
-	} else {
-		service = order.NewService(oCfg, engine, order.NewSolo(engine, 5*time.Millisecond), ordererSigner, n.Append)
-	}
+	service := order.NewService(oCfg, engine, order.NewSolo(engine, 5*time.Millisecond), ordererSigner, n.Append)
 	n.Orderer.SetHandler(func(_ wire.NodeID, msg wire.Message) {
 		if st, ok := msg.(*wire.SubmitTx); ok {
 			_ = service.Broadcast(st.Tx)
@@ -163,7 +133,7 @@ func RunConflictExperiment(p ConflictParams) (*ConflictResult, error) {
 
 	// The client submits proposals through the endorser and broadcasts
 	// the assembled transaction to the ordering node over the network.
-	clientEp := n.Net.AddNode()
+	clientEp := n.AddClientNode(0)
 	cl, err := client.New("client0", []*endorse.Endorser{endorser}, func(tx *ledger.Transaction) error {
 		return clientEp.Send(n.Orderer.ID(), &wire.SubmitTx{Tx: tx})
 	})
@@ -196,7 +166,7 @@ func RunConflictExperiment(p ConflictParams) (*ConflictResult, error) {
 	// Run until the last transaction's block has certainly drained
 	// through ordering, dissemination and validation everywhere.
 	end := time.Duration(total)*interval + p.BlockPeriod + 60*time.Second
-	engine.RunUntil(end)
+	n.RunUntil(end)
 	n.StopAll()
 
 	// Paper accounting: conflicts = total - sum of the final counters.

@@ -218,8 +218,8 @@ func (t *ShardTrace) chronological() []Event {
 
 // Tracer bundles one ShardTrace per emission context: in a sharded run,
 // one per organization shard, one for the ordering shard, and one for the
-// control plane; sequentially a single context carries everything in exact
-// emission order.
+// control plane; on a one-engine run a single context carries everything in
+// exact emission order.
 type Tracer struct {
 	Shards []*ShardTrace
 }

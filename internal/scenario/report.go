@@ -137,9 +137,8 @@ type Report struct {
 	// (summed across shards, in sharded mode).
 	EngineEvents uint64
 
-	// Sharded reports whether the run actually used the sharded parallel
-	// engine (a Sharded request falls back sequential when the latency
-	// model leaves no lookahead window). PeakPending is the event queues'
+	// Sharded reports whether the run used the coordinator's sharded form
+	// rather than its one-engine form. PeakPending is the event queues'
 	// high-water mark — the largest any single engine's pending set grew.
 	// Both are excluded from String — and therefore from Fingerprint —
 	// like SyncBytes: Sharded is config echo and PeakPending a capacity
@@ -150,7 +149,8 @@ type Report struct {
 	// BarrierFull and BarrierElided count the sharded coordinator's window
 	// edges that ran the full barrier ceremony versus those the adaptive
 	// lookahead skipped (provably-no-op edges: no inbox traffic, no control
-	// event due, no hook work requested). Wall-side diagnostics like
+	// event due, no hook work requested); both 0 on a one-engine run, which
+	// has no window edges. Wall-side diagnostics like
 	// PeakPending — excluded from String and Fingerprint; the elision must
 	// be observably free, and the equivalence property test asserts the
 	// fingerprints match the fixed-lookahead run's byte for byte.
@@ -158,8 +158,8 @@ type Report struct {
 	BarrierElided uint64
 
 	// HeapHighWater is the process heap's high-water mark over the run
-	// (runtime.ReadMemStats samples at window barriers in sharded mode, at
-	// injection/fault instants sequentially). It is wall-side state, not
+	// (runtime.ReadMemStats samples at coordinator barriers and at
+	// injection/fault instants). It is wall-side state, not
 	// simulation output, so like PeakPending it is excluded from String —
 	// and therefore from Fingerprint. The 100k benchmark tier gates
 	// bytes_per_peer = HeapHighWater / peers from it.

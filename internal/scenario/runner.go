@@ -45,9 +45,9 @@ type Options struct {
 	// -consenters). Zero inherits the scenario's own Consenters setting.
 	Consenters int
 	// Sharding overrides the scenario's Sharded flag per run
-	// (cmd/scenarios -shards): ShardOn forces the sharded parallel
-	// engine, ShardOff forces the sequential one, ShardAuto (the zero
-	// value) inherits the scenario's own setting.
+	// (cmd/scenarios -shards): ShardOn forces the coordinator's sharded
+	// form, ShardOff its one-engine form, ShardAuto (the zero value)
+	// inherits the scenario's own setting.
 	Sharding ShardMode
 	// FixedLookahead disables the sharded coordinator's adaptive barrier
 	// elision, forcing the full ceremony at every window edge. Both modes
@@ -95,9 +95,9 @@ type ShardMode int
 const (
 	// ShardAuto inherits the scenario's Sharded flag.
 	ShardAuto ShardMode = iota
-	// ShardOn forces the sharded parallel engine.
+	// ShardOn forces the coordinator's sharded form.
 	ShardOn
-	// ShardOff forces the sequential engine.
+	// ShardOff forces the coordinator's one-engine form.
 	ShardOff
 )
 
@@ -121,6 +121,23 @@ func (o Options) withDefaults() Options {
 		o.TxPayload = 512
 	}
 	return o
+}
+
+// validate rejects negative overrides: a negative ring capacity would
+// panic in the tracer, and a negative tail, sampling period or cluster size
+// would otherwise be silently ignored.
+func (o Options) validate() error {
+	switch {
+	case o.FlightRing < 0:
+		return fmt.Errorf("scenario: negative FlightRing %d", o.FlightRing)
+	case o.TimeSeries < 0:
+		return fmt.Errorf("scenario: negative TimeSeries %v", o.TimeSeries)
+	case o.Tail < 0:
+		return fmt.Errorf("scenario: negative Tail %v", o.Tail)
+	case o.Consenters < 0:
+		return fmt.Errorf("scenario: negative Consenters %d", o.Consenters)
+	}
+	return nil
 }
 
 func (o Options) topology() (Topology, error) {
@@ -156,8 +173,8 @@ type runner struct {
 	net   *harness.Network
 	plane *workload.Plane // nil unless sc.Workload is set
 
-	// sharded reports whether the network actually runs the sharded
-	// engine (the request may fall back sequential on zero lookahead).
+	// sharded reports whether the network runs the coordinator's sharded
+	// form (Report.Sharded).
 	sharded bool
 
 	// orgRecs and lat take writes from commit/reception hooks, which run
@@ -195,8 +212,8 @@ type runner struct {
 	actualBuf   []wire.NodeID
 
 	// Heap high-water sampling (wall-side diagnostic, never fingerprinted):
-	// sharded runs sample at coordinator barriers, sequential runs piggyback
-	// on the injection/fault closures already scheduled — either way no new
+	// runs sample at coordinator barriers and piggyback on the
+	// injection/fault closures already scheduled — either way no new
 	// simulation events exist, so EngineEvents (which IS fingerprinted) is
 	// untouched. lastHeapAt throttles the ReadMemStats stop-the-world cost
 	// to one sample per heapSampleInterval of simulated time.
@@ -256,6 +273,9 @@ func RunNamed(name string, opt Options) (*Report, error) {
 // deterministic in (scenario, Options).
 func Run(sc Scenario, opt Options) (*Report, error) {
 	opt = opt.withDefaults()
+	if err := opt.validate(); err != nil {
+		return nil, err
+	}
 	if opt.Tail > 0 {
 		sc.Tail = opt.Tail
 	}
@@ -426,14 +446,11 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 		return nil, err
 	}
 	r.net = net
-	// The request may fall back sequential (no usable lookahead window);
-	// trace buffering follows what the network actually runs.
-	r.sharded = net.Sharded() != nil
-	if r.sharded {
-		// Barrier-hosted heap sampling: every shard is quiescent, so the
-		// reading covers the whole network's live state.
-		net.Sharded().OnBarrier(r.sampleHeap)
-	}
+	r.sharded = sharded
+	se := net.Coordinator()
+	// Barrier-hosted heap sampling: every shard is quiescent, so the
+	// reading covers the whole network's live state.
+	se.OnBarrier(r.sampleHeap)
 	engine := net.Engine
 
 	// Observability plane. The tracer keeps full buffers unless only the
@@ -461,20 +478,20 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 	}
 	if opt.FlightRing > 0 {
 		r.flight = obs.NewFlightRecorder(r.tracer, opt.FlightRing, opt.FlightDir)
-		if se := net.Sharded(); se != nil {
-			se.SetViolationHook(func(src, dst int, msg string) {
-				// Mid-window only the offending shard's ring is safe to
-				// read; dump it before the panic unwinds so the artifact
-				// survives the crash.
-				if p, derr := r.flight.DumpShard(src, msg); derr == nil {
-					r.flightDump = p
-				}
-			})
-		}
+		se.SetViolationHook(func(src, dst int, msg string) {
+			// Mid-window only the offending shard's ring is safe to
+			// read; dump it before the panic unwinds so the artifact
+			// survives the crash.
+			if p, derr := r.flight.DumpShard(src, msg); derr == nil {
+				r.flightDump = p
+			}
+		})
 	}
 	if r.traceAll && r.sharded {
+		// Window barriers only: the one-engine form runs its hooks on
+		// every RequestBarrier, which is no window edge.
 		var barrierN uint64
-		net.Sharded().OnBarrier(func() {
+		se.OnBarrier(func() {
 			barrierN++
 			r.emitCtl(obs.Event{At: engine.Now(), Kind: obs.EvBarrier, Node: -1, Peer: -1, Num: barrierN})
 		})
@@ -991,10 +1008,7 @@ func (r *runner) renderTrace() []string {
 // report assembles the final Report after the engine has drained.
 func (r *runner) report(blocks []*ledger.Block) *Report {
 	tv := r.net.TrafficView()
-	var barrierFull, barrierElided uint64
-	if se := r.net.Sharded(); se != nil {
-		barrierFull, barrierElided = se.BarrierStats()
-	}
+	barrierFull, barrierElided := r.net.Coordinator().BarrierStats()
 	var transitions, violations int
 	var recAll []time.Duration
 	for o := 0; o < r.top.Orgs(); o++ {

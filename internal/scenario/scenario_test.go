@@ -230,6 +230,26 @@ func TestRunRejectsIndivisibleOrgLayout(t *testing.T) {
 	}
 }
 
+// Negative per-run overrides are configuration errors: a negative flight
+// ring used to panic inside the tracer, and the rest were silently ignored.
+func TestRunRejectsNegativeOptions(t *testing.T) {
+	cases := map[string]Options{
+		"FlightRing": {FlightRing: -5},
+		"TimeSeries": {TimeSeries: -time.Second},
+		"Tail":       {Tail: -time.Second},
+		"Consenters": {Consenters: -1},
+	}
+	for field, opt := range cases {
+		opt.Peers = 20
+		rep, err := RunNamed("crash-restart", opt)
+		if err == nil {
+			t.Errorf("negative %s accepted (fingerprint %s)", field, rep.Fingerprint())
+		} else if !strings.Contains(err.Error(), field) {
+			t.Errorf("negative %s: error %q does not name the field", field, err)
+		}
+	}
+}
+
 func TestRunRejectsOutOfRangeOrgActions(t *testing.T) {
 	sc := Scenario{
 		Name:          "bad-org",

@@ -33,11 +33,19 @@ import (
 // functions of (seed, scenario) alone, a sharded run is bit-for-bit
 // deterministic regardless of GOMAXPROCS or whether the window executes
 // serially or in parallel.
+//
+// The coordinator also has a one-engine form (NewSingleEngine), which is the
+// sequential runtime: one Engine is both Control() and the only Shard(0), and
+// since every instant of a one-engine run is quiescent there are no windows
+// and no barriers to count. Callers therefore hold a coordinator either way;
+// only this package knows whether a run is sharded.
 type ShardedEngine struct {
 	shards    []*Engine
 	control   *Engine
 	lookahead time.Duration
 	parallel  bool
+	// single marks the one-engine form: shards[0] is the control engine.
+	single bool
 
 	// inbox[src][dst] buffers cross-shard deliveries produced during a
 	// window. Each row [src] is appended to only by shard src's goroutine
@@ -87,8 +95,7 @@ type crossEvent struct {
 // seed — and shard i derives its streams from StreamSeed(seed, "shard<i>"),
 // giving every shard an independent stream universe. lookahead must be a
 // lower bound on the simulated latency of every cross-shard message; it must
-// be positive (a zero lookahead admits no parallel window — callers fall
-// back to the sequential engine instead).
+// be positive (a zero lookahead admits no parallel window).
 func NewShardedEngine(seed int64, nShards int, lookahead time.Duration) *ShardedEngine {
 	if nShards <= 0 {
 		panic(fmt.Sprintf("sim: NewShardedEngine with %d shards", nShards))
@@ -112,6 +119,17 @@ func NewShardedEngine(seed int64, nShards int, lookahead time.Duration) *Sharded
 	return se
 }
 
+// NewSingleEngine returns the one-engine form of the coordinator: a single
+// Engine seeded with seed serves as Control() and as the only Shard(0), so
+// its random streams and event order are exactly a bare NewEngine(seed)'s.
+// RunUntil delegates to that engine, RequestBarrier runs the barrier hooks
+// at once, BarrierStats stays 0/0 and Lookahead is 0 (no cross-shard message
+// can exist).
+func NewSingleEngine(seed int64) *ShardedEngine {
+	e := NewEngine(seed)
+	return &ShardedEngine{shards: []*Engine{e}, control: e, single: true}
+}
+
 // NumShards returns the number of shard engines.
 func (se *ShardedEngine) NumShards() int { return len(se.shards) }
 
@@ -124,11 +142,31 @@ func (se *ShardedEngine) Shard(i int) *Engine { return se.shards[i] }
 // samplers need: they observe every shard quiescent at a common instant.
 func (se *ShardedEngine) Control() *Engine { return se.control }
 
+// Contexts returns how many distinct engines the coordinator drives, each
+// its own single-threaded emission context: one in the one-engine form, the
+// shards plus the control engine otherwise.
+func (se *ShardedEngine) Contexts() int { return len(se.ownShards()) + 1 }
+
+// ownShards returns the shard engines other than the control engine: every
+// shard in the sharded form, none in the one-engine form.
+func (se *ShardedEngine) ownShards() []*Engine {
+	if se.single {
+		return nil
+	}
+	return se.shards
+}
+
 // Lookahead returns the conservative window width.
 func (se *ShardedEngine) Lookahead() time.Duration { return se.lookahead }
 
-// Now returns the time of the most recent barrier.
-func (se *ShardedEngine) Now() time.Duration { return se.now }
+// Now returns the time of the most recent barrier (the engine's clock in the
+// one-engine form, where every instant is one).
+func (se *ShardedEngine) Now() time.Duration {
+	if se.single {
+		return se.control.Now()
+	}
+	return se.now
+}
 
 // SetParallel selects whether windows run on one goroutine per shard (the
 // default) or serially on the caller's goroutine. Both modes produce
@@ -149,8 +187,16 @@ func (se *ShardedEngine) Adaptive() bool { return se.adaptive }
 // ceremony. Barrier hooks whose work is fed mid-window (a pump flush
 // request, a block record queued for fan-out) must call this when they
 // enqueue work, otherwise an adaptive coordinator may elide the edge that
-// would have drained it. Safe from any shard goroutine.
-func (se *ShardedEngine) RequestBarrier() { se.barrierReq.Store(true) }
+// would have drained it. Safe from any shard goroutine. In the one-engine
+// form the hooks run before RequestBarrier returns: every instant is
+// quiescent, so the work is drained where it was fed.
+func (se *ShardedEngine) RequestBarrier() {
+	if se.single {
+		se.runHooks()
+		return
+	}
+	se.barrierReq.Store(true)
+}
 
 // BarrierStats returns how many window edges ran the full barrier ceremony
 // and how many were elided as provably idle.
@@ -168,7 +214,9 @@ func (se *ShardedEngine) SetViolationHook(fn func(src, dst int, msg string)) {
 
 // OnBarrier registers fn to run at every window edge, after the control
 // engine's due events fire and before cross-shard inboxes drain. Hooks run
-// with every shard quiescent and all shard clocks equal to Now().
+// with every shard quiescent and all shard clocks equal to Now(). The
+// one-engine form has no window edges: its hooks run only when
+// RequestBarrier is called.
 func (se *ShardedEngine) OnBarrier(fn func()) {
 	se.barriers = append(se.barriers, fn)
 }
@@ -196,7 +244,7 @@ func (se *ShardedEngine) SendCross(src, dst int, at time.Duration, h DeliveryHan
 // shard.
 func (se *ShardedEngine) Executed() uint64 {
 	n := se.control.Executed()
-	for _, s := range se.shards {
+	for _, s := range se.ownShards() {
 		n += s.Executed()
 	}
 	return n
@@ -205,7 +253,7 @@ func (se *ShardedEngine) Executed() uint64 {
 // Pending returns the total events waiting across all engines and inboxes.
 func (se *ShardedEngine) Pending() int {
 	n := se.control.Pending()
-	for _, s := range se.shards {
+	for _, s := range se.ownShards() {
 		n += s.Pending()
 	}
 	for _, row := range se.inbox {
@@ -220,7 +268,7 @@ func (se *ShardedEngine) Pending() int {
 // engine and every shard.
 func (se *ShardedEngine) PeakPending() int {
 	peak := se.control.PeakPending()
-	for _, s := range se.shards {
+	for _, s := range se.ownShards() {
 		if p := s.PeakPending(); p > peak {
 			peak = p
 		}
@@ -228,8 +276,13 @@ func (se *ShardedEngine) PeakPending() int {
 	return peak
 }
 
-// RunUntil advances the simulation to time end in conservative windows.
+// RunUntil advances the simulation to time end in conservative windows, or
+// runs the one engine straight to end in the one-engine form.
 func (se *ShardedEngine) RunUntil(end time.Duration) {
+	if se.single {
+		se.control.RunUntil(end)
+		return
+	}
 	first := true
 	for {
 		now := se.now
@@ -247,9 +300,7 @@ func (se *ShardedEngine) RunUntil(end time.Duration) {
 		if !se.adaptive || first || req || now >= end || se.inboxesPending() || se.controlDue(now) {
 			se.fullBarriers++
 			se.control.RunUntil(now)
-			for _, fn := range se.barriers {
-				fn()
-			}
+			se.runHooks()
 			// Drain after the hooks: deliveries they produce (e.g. a pump
 			// flushing at the barrier) are picked up immediately rather
 			// than waiting a window.
@@ -310,6 +361,13 @@ func (se *ShardedEngine) RunUntil(end time.Duration) {
 		se.horizon = h
 		se.runWindow(h)
 		se.now = h
+	}
+}
+
+// runHooks runs the barrier hooks in registration order.
+func (se *ShardedEngine) runHooks() {
+	for _, fn := range se.barriers {
+		fn()
 	}
 }
 

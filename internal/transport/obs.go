@@ -9,11 +9,12 @@ import (
 
 // WireObs is one emission context's wire-level observability bundle: the
 // registry instruments and trace buffer every message crossing that
-// context's NIC feeds. The sim network holds one per shard (one total,
-// sequentially) so the per-message path stays single-writer and
+// context's NIC feeds. The sim network holds one per shard (one total on
+// a one-engine run) so the per-message path stays single-writer and
 // allocation-free; the TCP runtime holds one backed by a concurrent
-// registry, which its metrics scrape reads while the event loop records. Either half may be absent: a nil registry records no metrics,
-// a nil trace emits no events.
+// registry, which its metrics scrape reads while the event loop records.
+// Either half may be absent: a nil registry records no metrics, a nil trace
+// emits no events.
 type WireObs struct {
 	msgsOut  *obs.Counter
 	bytesOut *obs.Counter

@@ -9,14 +9,14 @@ import (
 	"fabricgossip/internal/wire"
 )
 
-// SimNetwork is the discrete-event implementation of the transport. It is
-// driven by a sim.Engine and must only be used from engine callbacks (the
-// engine is single-threaded).
+// SimNetwork is the discrete-event implementation of the transport. Every
+// send runs on the sender's shard engine — its clock, its "transport"
+// random stream, its traffic accountant — and must only be issued from that
+// engine's callbacks. The engine passed to NewSimNetwork is shard 0 and every
+// node starts on it, so a network that never calls EnableSharding is the
+// plain one-engine transport.
 type SimNetwork struct {
-	engine  *sim.Engine
-	model   netmodel.Model
-	traffic *netmodel.Traffic
-	rng     *sim.Rand
+	model netmodel.Model
 
 	nodes    []*SimEndpoint
 	downLink map[[2]wire.NodeID]bool
@@ -47,23 +47,22 @@ type SimNetwork struct {
 	// per-message scheduling through sim.Engine.AfterMsg captures nothing.
 	deliverFn sim.DeliveryHandler
 
-	// Sharded mode (EnableSharding): each send runs on the *sender's* shard
-	// engine — its clock, its "transport" random stream, its traffic
-	// accountant — and same-shard deliveries schedule directly while
-	// cross-shard ones go through the coordinator's inboxes. The fault maps
-	// above are then written only at window barriers (every shard
-	// quiescent) and read concurrently during windows, which is safe
-	// without locks.
+	// Shard layout, indexed by shard: same-shard deliveries schedule
+	// directly on the shard engine, cross-shard ones go through the
+	// coordinator's inboxes (se is set by EnableSharding; a one-shard
+	// network never crosses). Under a multi-shard coordinator the fault maps
+	// above are written only at window barriers (every shard quiescent) and
+	// read concurrently during windows, which is safe without locks.
 	se           *sim.ShardedEngine
 	shardOf      []int // dense by NodeID; -1 = unassigned
+	newShard     int   // shard AddNode assigns: 0, or -1 after EnableSharding
 	shardEng     []*sim.Engine
 	shardRng     []*sim.Rand
-	shardTraffic []*netmodel.Traffic
+	shardTraffic []*netmodel.Traffic // nil entries skip accounting
 
-	// wobs, when set, observes every message at the NIC: index 0
-	// sequentially, the sender's/receiver's shard index in sharded mode.
-	// Like the traffic accountants, each entry is written only by its own
-	// shard's goroutine.
+	// wobs, when set, observes every message at the NIC, indexed by the
+	// sender's/receiver's shard. Like the traffic accountants, each entry
+	// is written only by its own shard's goroutine.
 	wobs []*WireObs
 }
 
@@ -71,14 +70,14 @@ type SimNetwork struct {
 // accounting.
 func NewSimNetwork(engine *sim.Engine, model netmodel.Model, traffic *netmodel.Traffic) *SimNetwork {
 	n := &SimNetwork{
-		engine:    engine,
-		model:     model,
-		traffic:   traffic,
-		rng:       engine.Rand("transport"),
-		downLink:  make(map[[2]wire.NodeID]bool),
-		downNode:  make(map[wire.NodeID]bool),
-		linkExtra: make(map[[2]wire.NodeID]time.Duration),
-		nodeExtra: make(map[wire.NodeID]time.Duration),
+		model:        model,
+		shardEng:     []*sim.Engine{engine},
+		shardRng:     []*sim.Rand{engine.Rand("transport")},
+		shardTraffic: []*netmodel.Traffic{traffic},
+		downLink:     make(map[[2]wire.NodeID]bool),
+		downNode:     make(map[wire.NodeID]bool),
+		linkExtra:    make(map[[2]wire.NodeID]time.Duration),
+		nodeExtra:    make(map[wire.NodeID]time.Duration),
 	}
 	n.deliverFn = n.deliver
 	return n
@@ -89,21 +88,25 @@ func NewSimNetwork(engine *sim.Engine, model netmodel.Model, traffic *netmodel.T
 func (n *SimNetwork) AddNode() *SimEndpoint {
 	ep := &SimEndpoint{net: n, id: wire.NodeID(len(n.nodes))}
 	n.nodes = append(n.nodes, ep)
+	n.shardOf = append(n.shardOf, n.newShard)
 	return ep
 }
 
 // Size returns the number of attached endpoints.
 func (n *SimNetwork) Size() int { return len(n.nodes) }
 
-// EnableSharding switches the network into sharded mode: sends draw delays
-// from the sender's shard engine and record into the shard's traffic
-// accountant (one per shard, merged for reporting), and deliveries crossing
-// a shard boundary are routed through the coordinator's conservative
-// inboxes. Every node must subsequently be assigned a shard with
-// SetNodeShard. traffics must have one accountant per shard (or be nil to
-// skip accounting).
+// EnableSharding lays the network over the coordinator's shards: sends
+// draw delays from the sender's shard engine and record into the shard's
+// traffic accountant (one per shard, merged for reporting), and deliveries
+// crossing a shard boundary are routed through the coordinator's
+// conservative inboxes. Every node must subsequently be assigned a shard
+// with SetNodeShard. traffics must have one accountant per shard (or be nil
+// to skip accounting).
 func (n *SimNetwork) EnableSharding(se *sim.ShardedEngine, traffics []*netmodel.Traffic) {
-	if traffics != nil && len(traffics) != se.NumShards() {
+	if traffics == nil {
+		traffics = make([]*netmodel.Traffic, se.NumShards())
+	}
+	if len(traffics) != se.NumShards() {
 		panic(fmt.Sprintf("transport: %d traffic accountants for %d shards", len(traffics), se.NumShards()))
 	}
 	n.se = se
@@ -114,45 +117,35 @@ func (n *SimNetwork) EnableSharding(se *sim.ShardedEngine, traffics []*netmodel.
 		n.shardEng[i] = se.Shard(i)
 		n.shardRng[i] = se.Shard(i).Rand("transport")
 	}
+	n.newShard = -1
+	for i := range n.shardOf {
+		n.shardOf[i] = -1
+	}
 }
 
-// SetObs attaches per-context wire observers: one entry sequentially,
-// one per shard in sharded mode (call after EnableSharding). nil detaches.
+// SetObs attaches per-shard wire observers, one entry per shard (call after
+// EnableSharding). nil detaches.
 func (n *SimNetwork) SetObs(wobs []*WireObs) {
-	if wobs != nil {
-		want := 1
-		if n.se != nil {
-			want = n.se.NumShards()
-		}
-		if len(wobs) != want {
-			panic(fmt.Sprintf("transport: %d wire observers for %d contexts", len(wobs), want))
-		}
+	if wobs != nil && len(wobs) != len(n.shardEng) {
+		panic(fmt.Sprintf("transport: %d wire observers for %d shards", len(wobs), len(n.shardEng)))
 	}
 	n.wobs = wobs
 }
 
-// SetNodeShard assigns the node to a shard (sharded mode only). Sends from
-// or to an unassigned node panic: silently guessing a shard would let a
-// message bypass the conservative synchronization.
+// SetNodeShard assigns an attached node to a shard. After EnableSharding,
+// sends from or to an unassigned node panic: silently guessing a shard
+// would let a message bypass the conservative synchronization.
 func (n *SimNetwork) SetNodeShard(id wire.NodeID, shard int) {
-	for len(n.shardOf) <= int(id) {
-		n.shardOf = append(n.shardOf, -1)
-	}
 	n.shardOf[id] = shard
 }
 
 // shardOfNode returns the node's shard, panicking on unassigned nodes.
 func (n *SimNetwork) shardOfNode(id wire.NodeID) int {
-	if int(id) < len(n.shardOf) {
-		if s := n.shardOf[id]; s >= 0 {
-			return s
-		}
+	if s := n.shardOf[id]; s >= 0 {
+		return s
 	}
 	panic(fmt.Sprintf("transport: node %v has no shard assignment", id))
 }
-
-// Engine returns the driving engine.
-func (n *SimNetwork) Engine() *sim.Engine { return n.engine }
 
 // SetLinkDown cuts (or restores) the directed link from -> to.
 func (n *SimNetwork) SetLinkDown(from, to wire.NodeID, down bool) {
@@ -269,54 +262,15 @@ func (n *SimNetwork) Reachable(from, to wire.NodeID) bool {
 	return true
 }
 
-// send accounts, filters and schedules one message. The steady-state path
-// is allocation-free: delivery goes through the engine's pooled AfterMsg
-// events via the pre-bound deliverFn, and the common no-overrides case
-// skips the linkExtra/nodeExtra lookups entirely.
+// send accounts, filters and schedules one message on the sender's shard
+// engine. Cross-shard deliveries detour through the coordinator so they
+// become visible only at window barriers; the per-shard network model is
+// identical, so a cross-shard hop costs the same simulated latency as a
+// same-shard one. The steady-state path is allocation-free: delivery goes
+// through the engine's pooled AfterMsg events via the pre-bound deliverFn,
+// and the common no-overrides case skips the linkExtra/nodeExtra lookups
+// entirely.
 func (n *SimNetwork) send(from, to wire.NodeID, msg wire.Message) error {
-	if n.se != nil {
-		return n.sendSharded(from, to, msg)
-	}
-	if int(to) >= len(n.nodes) {
-		releaseMsg(msg)
-		return fmt.Errorf("transport: unknown destination %v", to)
-	}
-	size := msg.EncodedSize()
-	// Bytes leave the sender's NIC whether or not they arrive.
-	if n.traffic != nil {
-		n.traffic.Record(from, to, msg.Type(), size, n.engine.Now())
-	}
-	if n.wobs != nil {
-		n.wobs[0].Sent(n.engine.Now(), from, to, msg.Type(), size)
-	}
-	if !n.Reachable(from, to) {
-		releaseMsg(msg)
-		return nil // silently lost: crashed endpoint, cut link or partition
-	}
-	if n.dropRate > 0 && !n.lossExempt[msg.Type()] && n.rng.Float64() < n.dropRate {
-		releaseMsg(msg)
-		return nil
-	}
-	delay := n.model.Delay(n.rng, size)
-	if len(n.linkExtra) > 0 {
-		delay += n.linkExtra[[2]wire.NodeID{from, to}]
-	}
-	if len(n.nodeExtra) > 0 {
-		delay += n.nodeExtra[from] + n.nodeExtra[to]
-	}
-	if n.siteDelay > 0 && n.siteOf(from) != n.siteOf(to) {
-		delay += n.siteDelay
-	}
-	n.engine.AfterMsg(delay, n.deliverFn, uint64(from), uint64(to), msg)
-	return nil
-}
-
-// sendSharded is send on the sharded runtime: the sender's shard engine
-// provides the clock and randomness, and cross-shard deliveries detour
-// through the coordinator so they become visible only at window barriers.
-// The per-shard network model is identical, so a cross-shard hop costs the
-// same simulated latency it would sequentially.
-func (n *SimNetwork) sendSharded(from, to wire.NodeID, msg wire.Message) error {
 	src := n.shardOfNode(from)
 	eng, rng := n.shardEng[src], n.shardRng[src]
 	if int(to) >= len(n.nodes) {
@@ -324,15 +278,16 @@ func (n *SimNetwork) sendSharded(from, to wire.NodeID, msg wire.Message) error {
 		return fmt.Errorf("transport: unknown destination %v", to)
 	}
 	size := msg.EncodedSize()
-	if n.shardTraffic != nil {
-		n.shardTraffic[src].Record(from, to, msg.Type(), size, eng.Now())
+	// Bytes leave the sender's NIC whether or not they arrive.
+	if t := n.shardTraffic[src]; t != nil {
+		t.Record(from, to, msg.Type(), size, eng.Now())
 	}
 	if n.wobs != nil {
 		n.wobs[src].Sent(eng.Now(), from, to, msg.Type(), size)
 	}
 	if !n.Reachable(from, to) {
 		releaseMsg(msg)
-		return nil
+		return nil // silently lost: crashed endpoint, cut link or partition
 	}
 	if n.dropRate > 0 && !n.lossExempt[msg.Type()] && rng.Float64() < n.dropRate {
 		releaseMsg(msg)
@@ -365,15 +320,10 @@ func (n *SimNetwork) deliver(from, to uint64, msg any) {
 	m := msg.(wire.Message)
 	if h := dst.handler; h != nil && !n.downNode[dst.id] {
 		if n.wobs != nil {
-			// The receive lands in the receiver's context, on whose
-			// engine goroutine this handler is already running.
-			ctx := 0
-			at := n.engine.Now()
-			if n.se != nil {
-				ctx = n.shardOfNode(dst.id)
-				at = n.shardEng[ctx].Now()
-			}
-			n.wobs[ctx].Received(at, wire.NodeID(from), dst.id, m.Type(), m.EncodedSize())
+			// The receive lands in the receiver's shard, on whose engine
+			// goroutine this handler is already running.
+			ctx := n.shardOfNode(dst.id)
+			n.wobs[ctx].Received(n.shardEng[ctx].Now(), wire.NodeID(from), dst.id, m.Type(), m.EncodedSize())
 		}
 		h(wire.NodeID(from), m)
 	}

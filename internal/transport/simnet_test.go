@@ -284,3 +284,56 @@ func TestSimNetworkDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// Over a sharded coordinator a send runs on the sender's shard — its
+// traffic accountant — and a cross-shard delivery arrives through the
+// coordinator after the same model delay a same-shard one pays.
+func TestSimNetworkShardedSendPath(t *testing.T) {
+	const d = 5 * time.Millisecond
+	se := sim.NewShardedEngine(1, 2, d)
+	se.SetParallel(false)
+	traffics := []*netmodel.Traffic{netmodel.NewSimTraffic(time.Second), netmodel.NewSimTraffic(time.Second)}
+	n := NewSimNetwork(se.Control(), fixedModel(d), nil)
+	n.EnableSharding(se, traffics)
+	a, local, remote := n.AddNode(), n.AddNode(), n.AddNode()
+	n.SetNodeShard(a.ID(), 0)
+	n.SetNodeShard(local.ID(), 0)
+	n.SetNodeShard(remote.ID(), 1)
+
+	arrived := map[wire.NodeID]time.Duration{}
+	local.SetHandler(func(wire.NodeID, wire.Message) { arrived[local.ID()] = se.Shard(0).Now() })
+	remote.SetHandler(func(wire.NodeID, wire.Message) { arrived[remote.ID()] = se.Shard(1).Now() })
+	se.Shard(0).At(10*time.Millisecond, func() {
+		_ = a.Send(local.ID(), &wire.StateInfo{Height: 1})
+		_ = a.Send(remote.ID(), &wire.StateInfo{Height: 1})
+	})
+	se.RunUntil(50 * time.Millisecond)
+
+	for _, id := range []wire.NodeID{local.ID(), remote.ID()} {
+		if at, ok := arrived[id]; !ok || at != 15*time.Millisecond {
+			t.Errorf("node %v: arrived=%v at %v, want 15ms", id, ok, at)
+		}
+	}
+	if got := traffics[0].CountOf(wire.TypeStateInfo); got != 2 {
+		t.Errorf("sender shard accounted %d sends, want 2", got)
+	}
+	if got := traffics[1].CountOf(wire.TypeStateInfo); got != 0 {
+		t.Errorf("receiver shard accounted %d sends, want 0", got)
+	}
+}
+
+// After EnableSharding a node must be placed explicitly: guessing a shard
+// would let its messages bypass the conservative synchronization.
+func TestSimNetworkShardedUnassignedNodePanics(t *testing.T) {
+	se := sim.NewShardedEngine(1, 2, time.Millisecond)
+	n := NewSimNetwork(se.Control(), fixedModel(time.Millisecond), nil)
+	n.EnableSharding(se, nil)
+	a, b := n.AddNode(), n.AddNode()
+	n.SetNodeShard(b.ID(), 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("send from an unassigned node did not panic")
+		}
+	}()
+	_ = a.Send(b.ID(), &wire.StateInfo{})
+}

@@ -221,12 +221,12 @@ type Plane struct {
 	// blockTxs records each cut block's transaction IDs so a peer's
 	// CommitResult (block number + per-index codes) can be mapped back to
 	// transactions. One map per organization: blocks are cut on the
-	// ordering engine but resolved on each org's, so sequentially the cut
-	// writes every org's map directly, while a sharded run queues the
+	// ordering engine but resolved on each org's, so the cut queues the
 	// record (txSync, ordering-shard-local) and a coordinator barrier
-	// fans it out while every shard is quiescent. Gossip needs at least
-	// one full window to carry the block to any peer, so the fan-out
-	// always lands before the first resolver reads it.
+	// fans it out while every shard is quiescent — at once on the
+	// one-engine form. Gossip needs at least one full window to carry the
+	// block to any peer, so the fan-out always lands before the first
+	// resolver reads it.
 	blockTxs []map[uint64][]crypto.Digest
 	txSync   []blockRecord
 	// cutSeen dedupes cluster-mode cuts (every consenter replica cuts the
@@ -307,9 +307,7 @@ func Install(n *harness.Network, cfg Config) (*Plane, error) {
 		p.pending[o] = make(map[crypto.Digest]*pendingTx)
 		p.blockTxs[o] = make(map[uint64][]crypto.Digest)
 	}
-	if se := n.Sharded(); se != nil {
-		se.OnBarrier(p.syncBlockTxs)
-	}
+	n.Coordinator().OnBarrier(p.syncBlockTxs)
 
 	// Identities: one MSP enrolls the orderer and every endorsing peer.
 	// The id stream is private to the plane, so installing it leaves every
@@ -539,23 +537,17 @@ func (p *Plane) onClusterCut(consenter int, b *ledger.Block) {
 }
 
 // recordBlock registers a cut block's transaction ids for every
-// organization's resolvers. Sequentially the maps are filled in place; a
-// sharded run queues the record on the ordering shard and syncBlockTxs fans
-// it out at the next coordinator barrier.
+// organization's resolvers: it queues the record on the ordering shard and
+// syncBlockTxs fans it out at the next coordinator barrier (before
+// recordBlock returns, on the one-engine form).
 func (p *Plane) recordBlock(b *ledger.Block) {
 	ids := make([]crypto.Digest, len(b.Txs))
 	for i, tx := range b.Txs {
 		ids[i] = tx.ID
 	}
-	if se := p.net.Sharded(); se != nil {
-		p.txSync = append(p.txSync, blockRecord{num: b.Num, ids: ids})
-		// The fan-out hook must not be elided by an adaptive coordinator.
-		se.RequestBarrier()
-		return
-	}
-	for o := range p.blockTxs {
-		p.blockTxs[o][b.Num] = ids
-	}
+	p.txSync = append(p.txSync, blockRecord{num: b.Num, ids: ids})
+	// The fan-out hook must not be elided by an adaptive coordinator.
+	p.net.Coordinator().RequestBarrier()
 }
 
 // syncBlockTxs is the coordinator barrier hook that publishes
