@@ -42,23 +42,34 @@ func main() {
 	}
 }
 
-// serveMetrics exposes reg in Prometheus text format at /metrics. The
-// registry is concurrent (mutex-backed instruments), so scrapes race
-// safely with the event loop's send/receive paths.
-func serveMetrics(addr string, reg *obs.Registry) (net.Listener, error) {
+// serveMetrics exposes reg in Prometheus text format at /metrics.
+func serveMetrics(addr string, loop *sim.RealScheduler, reg *obs.Registry) (net.Listener, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		_ = reg.WritePrometheus(w)
-	})
+	mux.Handle("/metrics", metricsHandler(loop, reg))
 	srv := &http.Server{Handler: mux}
 	go func() { _ = srv.Serve(ln) }()
 	fmt.Printf("serving /metrics on http://%s/metrics\n", ln.Addr())
 	return ln, nil
+}
+
+// metricsHandler serves reg, which belongs to loop like the rest of the
+// peers' state: each scrape takes its snapshot on the loop and formats it on
+// the request's own goroutine.
+func metricsHandler(loop *sim.RealScheduler, reg *obs.Registry) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		var snap *obs.Snapshot
+		loop.Do(func() { snap = reg.Snapshot() })
+		if snap == nil { // the loop has closed
+			http.Error(w, "runtime stopped", http.StatusServiceUnavailable)
+			return
+		}
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		_ = snap.WritePrometheus(w)
+	})
 }
 
 func run(nPeers, nBlocks, fout int, interval time.Duration, metricsAddr string) error {
@@ -78,14 +89,16 @@ func run(nPeers, nBlocks, fout int, interval time.Duration, metricsAddr string) 
 	book := transport.StaticAddressBook{}
 	traffic := netmodel.NewSimTraffic(time.Second)
 
-	// The HTTP scrape reads the registry concurrently with the loop, so it
-	// is the concurrent (mutex-backed) kind; the simulator uses shard-local
-	// registries instead.
+	// The metrics registry is loop-owned, like a simulation shard's: the
+	// endpoints record into it on the loop and the scrape snapshots it there.
 	var wobs *transport.WireObs
 	if metricsAddr != "" {
-		reg := obs.NewConcurrentRegistry()
-		wobs = transport.NewWireObs(reg, nil)
-		ln, err := serveMetrics(metricsAddr, reg)
+		var reg *obs.Registry
+		loop.Do(func() {
+			reg = obs.NewRegistry()
+			wobs = transport.NewWireObs(reg, nil)
+		})
+		ln, err := serveMetrics(metricsAddr, loop, reg)
 		if err != nil {
 			return err
 		}

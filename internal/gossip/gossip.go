@@ -15,7 +15,6 @@
 package gossip
 
 import (
-	"sync/atomic"
 	"time"
 
 	"fabricgossip/internal/ledger"
@@ -63,11 +62,10 @@ type Config struct {
 
 	// AliveInterval/AliveFanout parameterize membership heartbeats. They
 	// carry no protocol state here but reproduce the background traffic
-	// floor of the paper's bandwidth figures.
+	// floor of the paper's bandwidth figures; every heartbeat is padded to
+	// a realistic size with aliveMetaSize bytes.
 	AliveInterval time.Duration
 	AliveFanout   int
-	// AliveMetaSize pads heartbeats to a realistic encoded size.
-	AliveMetaSize int
 	// AliveExpiration is how long a peer stays in the live view after its
 	// last heartbeat. Zero defaults to 3x AliveInterval.
 	AliveExpiration time.Duration
@@ -117,7 +115,6 @@ func DefaultConfig(self wire.NodeID, peers []wire.NodeID) Config {
 		StateInfoFanout:   3,
 		AliveInterval:     5 * time.Second,
 		AliveFanout:       3,
-		AliveMetaSize:     256,
 		RecoveryInterval:  10 * time.Second,
 		RecoveryBatch:     32,
 	}
@@ -208,11 +205,6 @@ type Core struct {
 	stateInfoPeers []wire.NodeID
 	alivePeers     []wire.NodeID
 
-	// aliveMeta is the zero-filled heartbeat padding, aliasing the shared
-	// process-wide zero buffer (see sharedZeroMeta): Alive messages are
-	// read-only on both runtimes, so every tick of every core reuses it.
-	aliveMeta []byte
-
 	onFirstReception func(b *ledger.Block, at time.Duration)
 	onCommit         []func(b *ledger.Block)
 	onPeerState      func(peer wire.NodeID, alive bool, at time.Duration)
@@ -237,8 +229,7 @@ func New(cfg Config, ep transport.Endpoint, sched sim.Scheduler, rng *sim.Rand, 
 		// would discard the rejoined peer's heartbeats as stale until it
 		// out-counted its pre-crash uptime (Fabric ships a boot timestamp
 		// in AliveMessage for the same reason).
-		aliveSeq:  uint64(sched.Now() / time.Millisecond),
-		aliveMeta: sharedZeroMeta(cfg.AliveMetaSize),
+		aliveSeq: uint64(sched.Now() / time.Millisecond),
 	}
 	if cfg.ShuffleInterval > 0 {
 		c.shuffleRng = sim.NewRand(rng.Int63())
@@ -416,26 +407,15 @@ func (c *Core) isMember(p wire.NodeID) bool {
 	return ok
 }
 
-// sharedZeroMeta returns a zero-filled buffer of at least n bytes, shared
-// across every core: heartbeat padding is read-only on both runtimes (the
-// sim path shares the message value, the TCP path marshals it), so there
-// is no reason for each of 100k cores to hold its own copy. Cores on
-// different shard goroutines may ask concurrently; zero buffers are
-// interchangeable, so a lost race only costs one extra allocation.
-var zeroMeta atomic.Pointer[[]byte]
+// aliveMetaSize pads heartbeats to a realistic encoded size (identity,
+// endpoint and signature material in Fabric's AliveMessage).
+const aliveMetaSize = 256
 
-func sharedZeroMeta(n int) []byte {
-	for {
-		cur := zeroMeta.Load()
-		if cur != nil && len(*cur) >= n {
-			return (*cur)[:n]
-		}
-		buf := make([]byte, n)
-		if zeroMeta.CompareAndSwap(cur, &buf) {
-			return buf
-		}
-	}
-}
+// aliveMeta is the heartbeat padding of every core on every shard. It is
+// never written: Alive messages are read-only on both runtimes (the sim
+// shares the message value, the TCP path marshals it), so there is no
+// reason for each of 100k cores to hold its own copy.
+var aliveMeta [aliveMetaSize]byte
 
 // memberHost adapts Core to membership.Host: membership payloads go
 // straight to the endpoint (bypassing the piggybacking Send) and share the
@@ -662,10 +642,9 @@ func (c *Core) aliveTick() {
 			fn(p, false, now)
 		}
 	}
-	// The heartbeat padding is the shared per-core zero buffer: Alive
-	// messages are read-only on every delivery path, so no tick needs a
-	// fresh allocation.
-	msg := &wire.Alive{Seq: seq, Meta: c.aliveMeta}
+	// The heartbeat padding is the package's one zero array (aliveMeta),
+	// so no tick needs a fresh allocation.
+	msg := &wire.Alive{Seq: seq, Meta: aliveMeta[:]}
 	c.alivePeers = c.RandomPeersInto(c.cfg.AliveFanout, c.alivePeers)
 	for _, p := range c.alivePeers {
 		c.Send(p, msg)
@@ -690,7 +669,7 @@ func (c *Core) refuteIfAccused() {
 	c.aliveSeq++
 	seq := c.aliveSeq
 	c.view.QueueSelfAlive(seq)
-	msg := &wire.Alive{Seq: seq, Meta: c.aliveMeta}
+	msg := &wire.Alive{Seq: seq, Meta: aliveMeta[:]}
 	for _, p := range c.RandomPeers(c.cfg.AliveFanout) {
 		c.Send(p, msg)
 	}

@@ -243,9 +243,9 @@ func TestRecoveryTickNoopWhenCaughtUp(t *testing.T) {
 }
 
 // Every aliveTick must reuse the one zero-filled metadata buffer instead of
-// allocating AliveMetaSize bytes per heartbeat round.
+// allocating aliveMetaSize bytes per heartbeat round.
 func TestAliveTickReusesMetaBuffer(t *testing.T) {
-	c, ep, _ := newTestCore(t, 0, 4, func(cfg *Config) { cfg.AliveMetaSize = 64 })
+	c, ep, _ := newTestCore(t, 0, 4, nil)
 	c.aliveTick()
 	c.aliveTick()
 	var metas [][]byte
@@ -258,10 +258,10 @@ func TestAliveTickReusesMetaBuffer(t *testing.T) {
 		t.Fatalf("captured %d Alive messages, want >= 2", len(metas))
 	}
 	for i, meta := range metas {
-		if len(meta) != 64 {
-			t.Fatalf("heartbeat %d meta is %d bytes, want 64", i, len(meta))
+		if len(meta) != aliveMetaSize {
+			t.Fatalf("heartbeat %d meta is %d bytes, want %d", i, len(meta), aliveMetaSize)
 		}
-		if &meta[0] != &metas[0][0] {
+		if &meta[0] != &aliveMeta[0] {
 			t.Fatalf("heartbeat %d holds a fresh meta buffer; want the shared one", i)
 		}
 	}

@@ -28,7 +28,7 @@ const clusterEntryBlock = 3
 // Peers need no changes for stall detection: statesync keys its
 // orderer-stall clock to DeliverBlock receipt, which in cluster mode is
 // exactly the current leader's silence — an election longer than
-// OrdererStall trips anchor probing, a shorter one does not.
+// ordererStall trips anchor probing, a shorter one does not.
 type consenterCluster struct {
 	eps   []*transport.SimEndpoint
 	nodes []*raft.Node
@@ -233,9 +233,6 @@ func (n *Network) Consenters() int {
 // ConsenterID returns consenter i's transport id.
 func (n *Network) ConsenterID(i int) wire.NodeID { return n.cluster.eps[i].ID() }
 
-// ConsenterNode exposes consenter i's Raft node (tests and diagnostics).
-func (n *Network) ConsenterNode(i int) *raft.Node { return n.cluster.nodes[i] }
-
 // ConsenterLeader returns the index of the consenter currently believed to
 // lead, or -1 during elections, quorum loss, or legacy mode.
 func (n *Network) ConsenterLeader() int {
@@ -244,9 +241,6 @@ func (n *Network) ConsenterLeader() int {
 	}
 	return n.cluster.leader
 }
-
-// ConsenterDown reports whether consenter i is crashed.
-func (n *Network) ConsenterDown(i int) bool { return n.cluster.down[i] }
 
 // OrderingNodeIDs returns the ordering service's transport ids — the single
 // orderer endpoint in legacy mode, every consenter in cluster mode — for

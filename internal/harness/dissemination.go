@@ -137,7 +137,8 @@ func regularPeer(seed int64, numPeers int) wire.NodeID {
 }
 
 // BuildChain constructs a hash-linked chain of blocks with the workload's
-// transaction shape. Payload bytes are deterministic from the seed.
+// transaction shape. Payload bytes are deterministic from the seed. Every
+// block is sealed (wire.SealBlock), so it carries its own encoding.
 func BuildChain(n, txPerBlock, payloadSize int, seed int64) []*ledger.Block {
 	rng := sim.NewRand(sim.StreamSeed(seed, "chain"))
 	blocks := make([]*ledger.Block, n)
@@ -170,7 +171,7 @@ func BuildChain(n, txPerBlock, payloadSize int, seed int64) []*ledger.Block {
 			b.PrevHash = prev.Hash()
 		}
 		b.Sig = make([]byte, 64)
-		blocks[i] = b
+		blocks[i] = wire.SealBlock(b)
 		prev = b
 	}
 	return blocks

@@ -48,32 +48,15 @@ type NetworkParams struct {
 	// unread series don't dominate the accountant's footprint at the
 	// 100k-peer tier. Figure runs keep the series.
 	TrafficTotals bool
-	// RedeliverInterval is how often the ordering service retries streaming
-	// undelivered blocks to each organization's current leader (default
-	// 1 s). Real orderers serve a reliable deliver stream per leader; the
-	// retry models the stream resuming after partitions and failovers.
-	RedeliverInterval time.Duration
-	// RedeliverBatch caps how many backlogged blocks one retry streams to
-	// an organization (default 32), pacing deep catch-ups.
-	RedeliverBatch int
 
 	// AnchorRecovery enables cross-organization state transfer: each
-	// organization designates its AnchorsPerOrg lowest-indexed peers as
-	// anchor peers (Fabric's channel-config anchors), and every peer is
-	// configured with the *other* organizations' anchors so its leader can
-	// fetch missing blocks from them when the ordering service goes
-	// silent. Off by default: single-org networks and orderer-only
-	// recovery behave exactly as before.
+	// organization designates its lowest-indexed peer as its anchor peer
+	// (Fabric's channel-config anchors), and every peer is configured with
+	// the *other* organizations' anchors so its leader can fetch missing
+	// blocks from them when the ordering service goes silent (see
+	// anchorInterval and ordererStall). Off by default: single-org networks
+	// and orderer-only recovery behave exactly as before.
 	AnchorRecovery bool
-	// AnchorsPerOrg is how many anchor peers each organization publishes
-	// (default 1; capped at the organization's size).
-	AnchorsPerOrg int
-	// AnchorInterval is each leader's anchor probe period while the
-	// orderer is silent (default 2s).
-	AnchorInterval time.Duration
-	// OrdererStall is how long without an orderer delivery before a
-	// leader starts probing anchors (default 5s).
-	OrdererStall time.Duration
 
 	// WANDelay, when positive, separates every organization — and the
 	// ordering service — onto its own WAN site: messages between nodes of
@@ -128,23 +111,30 @@ func (p NetworkParams) withDefaults() NetworkParams {
 	if p.Bucket == 0 {
 		p.Bucket = 10 * time.Second
 	}
-	if p.RedeliverInterval == 0 {
-		p.RedeliverInterval = time.Second
-	}
-	if p.RedeliverBatch == 0 {
-		p.RedeliverBatch = 32
-	}
-	if p.AnchorsPerOrg == 0 {
-		p.AnchorsPerOrg = 1
-	}
-	if p.AnchorInterval == 0 {
-		p.AnchorInterval = 2 * time.Second
-	}
-	if p.OrdererStall == 0 {
-		p.OrdererStall = 5 * time.Second
-	}
 	return p
 }
+
+// Ordering-service delivery and anchor-recovery timing, shared by every
+// Network.
+const (
+	// redeliverInterval is how often the ordering service retries streaming
+	// undelivered blocks to each organization's current leader. Real
+	// orderers serve a reliable deliver stream per leader; the retry models
+	// the stream resuming after partitions and failovers.
+	redeliverInterval = time.Second
+	// redeliverBatch caps how many backlogged blocks one retry streams to
+	// an organization, pacing deep catch-ups.
+	redeliverBatch = 32
+	// anchorsPerOrg is how many anchor peers each organization publishes
+	// under AnchorRecovery (capped at the organization's size).
+	anchorsPerOrg = 1
+	// anchorInterval is each leader's anchor probe period while the
+	// orderer is silent.
+	anchorInterval = 2 * time.Second
+	// ordererStall is how long without an orderer delivery before a leader
+	// starts probing anchors.
+	ordererStall = 5 * time.Second
+)
 
 // lookahead derives the sharded engine's conservative window width: a lower
 // bound on the simulated latency of every cross-shard message. The LAN
@@ -154,8 +144,8 @@ func (p NetworkParams) withDefaults() NetworkParams {
 // organizations onto sites, every cross-shard pair additionally crosses a
 // site boundary — *except* under ConsenterSpread, which co-locates each
 // consenter with one organization's site, keeping some cross-shard pairs on
-// the LAN floor. Per-link and per-node extra delays only ever add latency,
-// so they never lower the bound.
+// the LAN floor. Per-node extra delays only ever add latency, so they never
+// lower the bound.
 func (p NetworkParams) lookahead() time.Duration {
 	la := netmodel.LAN().PropMin
 	if p.WANDelay > 0 && !(p.Consenters > 0 && p.ConsenterSpread) {
@@ -432,8 +422,8 @@ func (n *Network) buildCore(global int) *gossip.Core {
 	cfg := gossip.DefaultConfig(ep.ID(), d.Peers)
 	if n.Params.AnchorRecovery {
 		cfg.AnchorPeers = n.remoteAnchors(d.Index)
-		cfg.AnchorInterval = n.Params.AnchorInterval
-		cfg.OrdererStall = n.Params.OrdererStall
+		cfg.AnchorInterval = anchorInterval
+		cfg.OrdererStall = ordererStall
 	}
 	if n.tune != nil {
 		n.tune(ep.ID(), &cfg)
@@ -456,16 +446,12 @@ func (n *Network) buildCore(global int) *gossip.Core {
 }
 
 // OrgAnchors returns an organization's published anchor peers: its
-// AnchorsPerOrg lowest-indexed members (Fabric designates anchors in the
+// anchorsPerOrg lowest-indexed members (Fabric designates anchors in the
 // channel configuration; the lowest indices are this harness's stable
 // choice).
 func (n *Network) OrgAnchors(org int) []wire.NodeID {
 	d := n.Orgs[org]
-	k := n.Params.AnchorsPerOrg
-	if k > len(d.Peers) {
-		k = len(d.Peers)
-	}
-	return d.Peers[:k]
+	return d.Peers[:min(anchorsPerOrg, len(d.Peers))]
 }
 
 // remoteAnchors collects every other organization's anchor peers, in org
@@ -504,19 +490,6 @@ func (n *Network) applyWAN(d time.Duration) {
 		}
 	}
 	n.Net.SetSiteDelay(d)
-}
-
-// SetInterOrgDelay adds (or, with d <= 0, removes) extra one-way latency on
-// every directed link between two organizations — a single WAN segment,
-// finer-grained than NetworkParams.WANDelay.
-func (n *Network) SetInterOrgDelay(orgA, orgB int, d time.Duration) {
-	da, db := n.Orgs[orgA], n.Orgs[orgB]
-	for a := da.Lo; a < da.Hi; a++ {
-		for b := db.Lo; b < db.Hi; b++ {
-			n.Net.SetLinkExtraDelay(wire.NodeID(a), wire.NodeID(b), d)
-			n.Net.SetLinkExtraDelay(wire.NodeID(b), wire.NodeID(a), d)
-		}
-	}
 }
 
 // TotalPeers returns the peer count across all organizations.
@@ -616,7 +589,7 @@ func (n *Network) StartAll() {
 		}
 	}
 	if n.pump == nil {
-		n.pump = n.Engine.Every(n.Params.RedeliverInterval, n.pumpAll)
+		n.pump = n.Engine.Every(redeliverInterval, n.pumpAll)
 	}
 }
 
@@ -721,20 +694,6 @@ func (n *Network) RestartOrderer() {
 	n.ordererDown = false
 	n.Net.SetNodeDown(n.Orderer.ID(), false)
 	n.pumpAll()
-}
-
-// OrdererCrashed reports whether the ordering service is entirely down: the
-// legacy orderer crashed, or (cluster mode) no consenter is live.
-func (n *Network) OrdererCrashed() bool {
-	if n.cluster != nil {
-		for i := range n.cluster.down {
-			if !n.cluster.down[i] {
-				return false
-			}
-		}
-		return true
-	}
-	return n.ordererDown
 }
 
 // LiveCount returns the number of non-crashed peers across the network.
@@ -851,7 +810,7 @@ func (n *Network) pumpOrg(org int) {
 		}
 		n.nextIdx[org] = pos
 	}
-	for sent := 0; n.nextIdx[org] < limit && sent < n.Params.RedeliverBatch; sent++ {
+	for sent := 0; n.nextIdx[org] < limit && sent < redeliverBatch; sent++ {
 		b := n.chain[n.nextIdx[org]]
 		redelivery := n.nextIdx[org] < n.highWater[org]
 		_ = src.Send(wire.NodeID(target), &wire.DeliverBlock{Block: b})

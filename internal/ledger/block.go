@@ -97,7 +97,27 @@ type Block struct {
 	Txs      []*Transaction
 	// Sig is the ordering service's signature over HeaderBytes.
 	Sig crypto.Signature
+
+	// enc is the block's canonical wire encoding, recorded once by the code
+	// that creates the block (see SetEncoding); nil if nobody did.
+	enc []byte
 }
+
+// SetEncoding records enc as the block's canonical wire encoding
+// (wire.SealBlock computes it). The block's creator calls it once, after the
+// last field is set and before the block reaches another goroutine; the
+// block must not change afterwards. Recording a second encoding panics, so
+// no reader can ever race a late write.
+func (b *Block) SetEncoding(enc []byte) {
+	if b.enc != nil {
+		panic(fmt.Sprintf("ledger: block %d encoding recorded twice", b.Num))
+	}
+	b.enc = enc
+}
+
+// Encoding returns the encoding recorded by SetEncoding, or nil for a block
+// that was never sealed. Callers must not modify it.
+func (b *Block) Encoding() []byte { return b.enc }
 
 // HeaderBytes returns the canonical encoding of the block header, the
 // message that is hashed for chaining and signed by the orderer.

@@ -4,14 +4,13 @@
 // flight recorder.
 //
 // The registry follows the same single-writer discipline as
-// netmodel.Traffic: a Registry built with NewRegistry is lock-free and
-// must only be touched from one goroutine (one per simulation shard — the
-// shard's own event loop), while NewConcurrentRegistry takes atomic/locked
-// writes from any goroutine (the TCP runtime, whose HTTP scrape reads while
-// the event loop writes). Shard-local registries are
-// folded together with Merge at barriers or report time, exactly like
-// GroupedLatency.All(): determinism comes from merging in a fixed order at
-// a quiescent instant, not from synchronizing the hot path.
+// netmodel.Traffic: a Registry is lock-free and is only ever touched from
+// one goroutine — a simulation shard's event loop, or the TCP runtime's
+// event loop, where a metrics scrape takes a Snapshot inside the loop and
+// formats it outside. Shard-local registries are folded together with
+// Merge at barriers or report time, exactly like GroupedLatency.All():
+// determinism comes from merging in a fixed order at a quiescent instant,
+// not from synchronizing the hot path.
 //
 // Instruments are registered once, up front, by name plus label pairs; the
 // hot path holds the returned pointer and never performs a map lookup, so
@@ -25,8 +24,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // MetricKind discriminates the registry's instrument types.
@@ -51,78 +48,36 @@ func (k MetricKind) String() string {
 }
 
 // Counter is a monotonically increasing uint64.
-type Counter struct {
-	v          uint64
-	concurrent bool
-}
+type Counter struct{ v uint64 }
 
 // Add increments the counter by n.
-func (c *Counter) Add(n uint64) {
-	if c.concurrent {
-		atomic.AddUint64(&c.v, n)
-		return
-	}
-	c.v += n
-}
+func (c *Counter) Add(n uint64) { c.v += n }
 
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
 // Value returns the current count.
-func (c *Counter) Value() uint64 {
-	if c.concurrent {
-		return atomic.LoadUint64(&c.v)
-	}
-	return c.v
-}
+func (c *Counter) Value() uint64 { return c.v }
 
 // Gauge is a settable int64 level (queue depths, outstanding envelopes,
 // high-water marks).
-type Gauge struct {
-	v          int64
-	concurrent bool
-}
+type Gauge struct{ v int64 }
 
 // Set replaces the gauge's value.
-func (g *Gauge) Set(v int64) {
-	if g.concurrent {
-		atomic.StoreInt64(&g.v, v)
-		return
-	}
-	g.v = v
-}
+func (g *Gauge) Set(v int64) { g.v = v }
 
 // Add moves the gauge by delta (negative to decrease).
-func (g *Gauge) Add(delta int64) {
-	if g.concurrent {
-		atomic.AddInt64(&g.v, delta)
-		return
-	}
-	g.v += delta
-}
+func (g *Gauge) Add(delta int64) { g.v += delta }
 
 // SetMax raises the gauge to v if v is larger (high-water tracking).
 func (g *Gauge) SetMax(v int64) {
-	if g.concurrent {
-		for {
-			cur := atomic.LoadInt64(&g.v)
-			if v <= cur || atomic.CompareAndSwapInt64(&g.v, cur, v) {
-				return
-			}
-		}
-	}
 	if v > g.v {
 		g.v = v
 	}
 }
 
 // Value returns the current level.
-func (g *Gauge) Value() int64 {
-	if g.concurrent {
-		return atomic.LoadInt64(&g.v)
-	}
-	return g.v
-}
+func (g *Gauge) Value() int64 { return g.v }
 
 // Histogram accumulates observations into fixed buckets declared at
 // registration. Bounds are inclusive upper edges; one implicit +Inf bucket
@@ -130,20 +85,14 @@ func (g *Gauge) Value() int64 {
 // a handful of bounds beats binary search at these sizes and touches no
 // heap.
 type Histogram struct {
-	bounds     []float64
-	counts     []uint64 // len(bounds)+1; last is +Inf
-	sum        float64
-	count      uint64
-	concurrent bool
-	mu         sync.Mutex // taken only when concurrent
+	bounds []float64
+	counts []uint64 // len(bounds)+1; last is +Inf
+	sum    float64
+	count  uint64
 }
 
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
-	if h.concurrent {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-	}
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
@@ -154,22 +103,10 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h.concurrent {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-	}
-	return h.count
-}
+func (h *Histogram) Count() uint64 { return h.count }
 
 // Sum returns the total of all observations.
-func (h *Histogram) Sum() float64 {
-	if h.concurrent {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-	}
-	return h.sum
-}
+func (h *Histogram) Sum() float64 { return h.sum }
 
 // SizeBuckets is the default bucket layout for message-size histograms
 // (bytes), spanning heartbeat-sized rumors to full block batches.
@@ -189,25 +126,17 @@ type instrument struct {
 }
 
 // Registry holds named instruments. The zero value is not usable; build
-// with NewRegistry (single-threaded, for shard-local use) or
-// NewConcurrentRegistry (locked/atomic, for the real runtime).
+// with NewRegistry.
 type Registry struct {
-	concurrent bool
-	mu         sync.Mutex // guards the maps; instruments guard themselves
-	byID       map[string]*instrument
-	order      []*instrument
+	byID  map[string]*instrument
+	order []*instrument
 }
 
-// NewRegistry returns a single-threaded registry: registration and every
-// instrument operation must stay on one goroutine (the owning shard's).
+// NewRegistry returns a single-writer registry: registration, every
+// instrument operation and Snapshot stay on one goroutine (the owning
+// event loop's).
 func NewRegistry() *Registry {
 	return &Registry{byID: make(map[string]*instrument)}
-}
-
-// NewConcurrentRegistry returns a registry safe for concurrent use:
-// counters and gauges go through atomics, histograms through a mutex.
-func NewConcurrentRegistry() *Registry {
-	return &Registry{concurrent: true, byID: make(map[string]*instrument)}
 }
 
 // renderLabels builds the canonical sorted `{k="v",...}` form. Empty input
@@ -257,28 +186,24 @@ func (r *Registry) register(ins *instrument) {
 // Counter registers (or returns the existing) counter under name with the
 // given alternating key/value label pairs.
 func (r *Registry) Counter(name string, labels ...string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	l := renderLabels(labels)
 	id := name + l
 	if ins := r.lookup(id, KindCounter); ins != nil {
 		return ins.counter
 	}
-	c := &Counter{concurrent: r.concurrent}
+	c := &Counter{}
 	r.register(&instrument{name: name, labels: l, id: id, kind: KindCounter, counter: c})
 	return c
 }
 
 // Gauge registers (or returns the existing) gauge.
 func (r *Registry) Gauge(name string, labels ...string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	l := renderLabels(labels)
 	id := name + l
 	if ins := r.lookup(id, KindGauge); ins != nil {
 		return ins.gauge
 	}
-	g := &Gauge{concurrent: r.concurrent}
+	g := &Gauge{}
 	r.register(&instrument{name: name, labels: l, id: id, kind: KindGauge, gauge: g})
 	return g
 }
@@ -287,8 +212,6 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 // inclusive upper bucket bounds (ascending; +Inf is implicit). Re-registering
 // with different bounds panics — the merge contract needs one layout per id.
 func (r *Registry) Histogram(name string, bounds []float64, labels ...string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	l := renderLabels(labels)
 	id := name + l
 	if ins := r.lookup(id, KindHistogram); ins != nil {
@@ -308,9 +231,8 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...string) *H
 		}
 	}
 	h := &Histogram{
-		bounds:     append([]float64(nil), bounds...),
-		counts:     make([]uint64, len(bounds)+1),
-		concurrent: r.concurrent,
+		bounds: append([]float64(nil), bounds...),
+		counts: make([]uint64, len(bounds)+1),
 	}
 	r.register(&instrument{name: name, labels: l, id: id, kind: KindHistogram, hist: h})
 	return h
@@ -323,10 +245,7 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...string) *H
 // Call only at quiescent instants (a barrier, or after the run) — Merge
 // reads other's values without synchronization.
 func (r *Registry) Merge(other *Registry) {
-	other.mu.Lock()
-	ins := append([]*instrument(nil), other.order...)
-	other.mu.Unlock()
-	for _, o := range ins {
+	for _, o := range other.order {
 		switch o.kind {
 		case KindCounter:
 			r.Counter(o.name, labelPairs(o.labels)...).Add(o.counter.Value())
@@ -334,23 +253,11 @@ func (r *Registry) Merge(other *Registry) {
 			r.Gauge(o.name, labelPairs(o.labels)...).SetMax(o.gauge.Value())
 		case KindHistogram:
 			h := r.Histogram(o.name, o.hist.bounds, labelPairs(o.labels)...)
-			if o.hist.concurrent {
-				o.hist.mu.Lock()
-			}
-			if h.concurrent {
-				h.mu.Lock()
-			}
 			for i, c := range o.hist.counts {
 				h.counts[i] += c
 			}
 			h.sum += o.hist.sum
 			h.count += o.hist.count
-			if h.concurrent {
-				h.mu.Unlock()
-			}
-			if o.hist.concurrent {
-				o.hist.mu.Unlock()
-			}
 		}
 	}
 }
@@ -404,11 +311,11 @@ type Snapshot struct {
 	Metrics []Metric `json:"metrics"`
 }
 
-// Snapshot copies every instrument's current value, sorted by id.
+// Snapshot copies every instrument's current value, sorted by id. Like every
+// other registry call it runs on the owning goroutine; the copy it returns
+// is then free to cross goroutines.
 func (r *Registry) Snapshot() *Snapshot {
-	r.mu.Lock()
 	ins := append([]*instrument(nil), r.order...)
-	r.mu.Unlock()
 	sort.Slice(ins, func(i, j int) bool { return ins[i].id < ins[j].id })
 	s := &Snapshot{Metrics: make([]Metric, 0, len(ins))}
 	for _, in := range ins {
@@ -420,16 +327,10 @@ func (r *Registry) Snapshot() *Snapshot {
 			m.Value = float64(in.gauge.Value())
 		case KindHistogram:
 			h := in.hist
-			if h.concurrent {
-				h.mu.Lock()
-			}
 			m.Count = h.count
 			m.Sum = h.sum
 			m.Bounds = append([]float64(nil), h.bounds...)
 			m.Counts = append([]uint64(nil), h.counts...)
-			if h.concurrent {
-				h.mu.Unlock()
-			}
 			if h.count > 0 {
 				m.Value = h.sum / float64(h.count)
 			}
@@ -494,12 +395,6 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// WritePrometheus snapshots the registry and emits it in the Prometheus
-// text format — the /metrics handler body for the real runtime.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	return r.Snapshot().WritePrometheus(w)
 }
 
 // withLabel splices one extra label into an already-rendered label set.

@@ -109,33 +109,6 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 }
 
-// TestConcurrentRegistry exercises the locked variant from several
-// goroutines (run with -race) and checks the totals.
-func TestConcurrentRegistry(t *testing.T) {
-	r := NewConcurrentRegistry()
-	c := r.Counter("c")
-	h := r.Histogram("h", []float64{50})
-	done := make(chan struct{})
-	for i := 0; i < 4; i++ {
-		go func() {
-			for j := 0; j < 1000; j++ {
-				c.Inc()
-				h.Observe(float64(j % 100))
-			}
-			done <- struct{}{}
-		}()
-	}
-	for i := 0; i < 4; i++ {
-		<-done
-	}
-	if c.Value() != 4000 {
-		t.Fatalf("counter = %d, want 4000", c.Value())
-	}
-	if h.Count() != 4000 {
-		t.Fatalf("histogram count = %d, want 4000", h.Count())
-	}
-}
-
 // TestPrometheusFormat sanity-checks the text exposition: type headers,
 // label rendering, cumulative histogram buckets with +Inf.
 func TestPrometheusFormat(t *testing.T) {
@@ -146,7 +119,7 @@ func TestPrometheusFormat(t *testing.T) {
 	h.Observe(5)
 	h.Observe(50)
 	var b bytes.Buffer
-	if err := r.WritePrometheus(&b); err != nil {
+	if err := r.Snapshot().WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

@@ -199,7 +199,7 @@ func (s *Service) sendTTC(blockNum uint64) {
 	}
 }
 
-// cutBlock assembles, signs and chains the next block.
+// cutBlock assembles, signs, chains and seals the next block.
 func (s *Service) cutBlock() *ledger.Block {
 	txs := s.pending
 	s.pending = nil
@@ -219,7 +219,7 @@ func (s *Service) cutBlock() *ledger.Block {
 	}
 	s.nextNum++
 	s.prevHash = b.Hash()
-	return b
+	return wire.SealBlock(b)
 }
 
 // Solo is Fabric's single-node consenter: entries commit locally in

@@ -11,8 +11,8 @@ import (
 // registry instruments and trace buffer every message crossing that
 // context's NIC feeds. The sim network holds one per shard (one total on
 // a one-engine run) so the per-message path stays single-writer and
-// allocation-free; the TCP runtime holds one backed by a concurrent
-// registry, which its metrics scrape reads while the event loop records.
+// allocation-free; the TCP runtime holds one on its event loop, where the
+// endpoints record and a metrics scrape takes its snapshot.
 // Either half may be absent: a nil registry records no metrics, a nil trace
 // emits no events.
 type WireObs struct {

@@ -26,9 +26,8 @@ type SimNetwork struct {
 	// partition maps each node to a partition group; messages crossing
 	// group boundaries are dropped. nil means no partition is active.
 	partition map[wire.NodeID]int
-	// linkExtra/nodeExtra add latency on top of the network model
-	// (slow-link and straggler-node faults, single WAN segments).
-	linkExtra map[[2]wire.NodeID]time.Duration
+	// nodeExtra adds latency on top of the network model (straggler-node
+	// faults).
 	nodeExtra map[wire.NodeID]time.Duration
 	// sites/siteDelay model WAN separation without per-link state: every
 	// node belongs to a site (dense-id indexed; default site 0), and a
@@ -76,7 +75,6 @@ func NewSimNetwork(engine *sim.Engine, model netmodel.Model, traffic *netmodel.T
 		shardTraffic: []*netmodel.Traffic{traffic},
 		downLink:     make(map[[2]wire.NodeID]bool),
 		downNode:     make(map[wire.NodeID]bool),
-		linkExtra:    make(map[[2]wire.NodeID]time.Duration),
 		nodeExtra:    make(map[wire.NodeID]time.Duration),
 	}
 	n.deliverFn = n.deliver
@@ -199,16 +197,6 @@ func (n *SimNetwork) Partition(groups ...[]wire.NodeID) {
 // overrides are independent and stay in place.
 func (n *SimNetwork) Heal() { n.partition = nil }
 
-// SetLinkExtraDelay adds d of one-way latency to the directed link
-// from -> to, on top of the network model. d <= 0 removes the override.
-func (n *SimNetwork) SetLinkExtraDelay(from, to wire.NodeID, d time.Duration) {
-	if d <= 0 {
-		delete(n.linkExtra, [2]wire.NodeID{from, to})
-	} else {
-		n.linkExtra[[2]wire.NodeID{from, to}] = d
-	}
-}
-
 // SetNodeExtraDelay adds d of one-way latency to every message entering or
 // leaving the node (a straggler host or a WAN-attached peer). d <= 0
 // removes the override.
@@ -268,8 +256,7 @@ func (n *SimNetwork) Reachable(from, to wire.NodeID) bool {
 // identical, so a cross-shard hop costs the same simulated latency as a
 // same-shard one. The steady-state path is allocation-free: delivery goes
 // through the engine's pooled AfterMsg events via the pre-bound deliverFn,
-// and the common no-overrides case skips the linkExtra/nodeExtra lookups
-// entirely.
+// and the common no-overrides case skips the nodeExtra lookups entirely.
 func (n *SimNetwork) send(from, to wire.NodeID, msg wire.Message) error {
 	src := n.shardOfNode(from)
 	eng, rng := n.shardEng[src], n.shardRng[src]
@@ -294,9 +281,6 @@ func (n *SimNetwork) send(from, to wire.NodeID, msg wire.Message) error {
 		return nil
 	}
 	delay := n.model.Delay(rng, size)
-	if len(n.linkExtra) > 0 {
-		delay += n.linkExtra[[2]wire.NodeID{from, to}]
-	}
 	if len(n.nodeExtra) > 0 {
 		delay += n.nodeExtra[from] + n.nodeExtra[to]
 	}

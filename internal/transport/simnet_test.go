@@ -233,28 +233,28 @@ func TestSimNetworkPartitionUnlistedNodesJoinGroupZero(t *testing.T) {
 	}
 }
 
-func TestSimNetworkLinkAndNodeExtraDelay(t *testing.T) {
+func TestSimNetworkNodeExtraDelay(t *testing.T) {
 	e := sim.NewEngine(1)
 	n := NewSimNetwork(e, fixedModel(time.Millisecond), nil)
 	a, b := n.AddNode(), n.AddNode()
 	var at []time.Duration
 	b.SetHandler(func(wire.NodeID, wire.Message) { at = append(at, e.Now()) })
 
-	n.SetLinkExtraDelay(a.ID(), b.ID(), 10*time.Millisecond)
-	_ = a.Send(b.ID(), &wire.StateInfo{})
-	e.Run()
-	if len(at) != 1 || at[0] != 11*time.Millisecond {
-		t.Fatalf("link-delayed delivery at %v, want 11ms", at)
-	}
-	// Node delay stacks on both endpoints and on the link override.
 	n.SetNodeExtraDelay(b.ID(), 5*time.Millisecond)
 	_ = a.Send(b.ID(), &wire.StateInfo{})
 	e.Run()
+	if len(at) != 1 || at[0] != 6*time.Millisecond {
+		t.Fatalf("node-delayed delivery at %v, want 6ms", at)
+	}
+	// Node delay stacks on both endpoints.
+	n.SetNodeExtraDelay(a.ID(), 10*time.Millisecond)
+	_ = a.Send(b.ID(), &wire.StateInfo{})
+	e.Run()
 	if at[1]-at[0] != 16*time.Millisecond {
-		t.Fatalf("node+link delay delivered after %v, want 16ms", at[1]-at[0])
+		t.Fatalf("sender+receiver delay delivered after %v, want 16ms", at[1]-at[0])
 	}
 	// Clearing both restores the base model.
-	n.SetLinkExtraDelay(a.ID(), b.ID(), 0)
+	n.SetNodeExtraDelay(a.ID(), 0)
 	n.SetNodeExtraDelay(b.ID(), 0)
 	start := e.Now()
 	_ = a.Send(b.ID(), &wire.StateInfo{})

@@ -71,8 +71,8 @@ type TCPEndpoint struct {
 	loop    *sim.RealScheduler
 	traffic *netmodel.Traffic
 	start   time.Time
-	// wobs, when set, must be backed by a concurrent registry: an HTTP
-	// scrape may read it while the loop records.
+	// wobs, when set, is loop-owned like the handler: it records on the
+	// loop, and its registry is read there too.
 	wobs *WireObs
 	// handler is loop-owned.
 	handler Handler
@@ -125,8 +125,9 @@ func ListenTCP(id wire.NodeID, addr string, book AddressBook, loop *sim.RealSche
 	return ep, nil
 }
 
-// SetObs attaches a wire observer. It must be backed by a concurrent
-// registry (obs.NewConcurrentRegistry); call before any traffic flows.
+// SetObs attaches a wire observer; call before any traffic flows. The
+// observer records on the loop, so its registry belongs to the loop: read
+// it there, as a metrics scrape does by taking its Snapshot inside Do.
 func (ep *TCPEndpoint) SetObs(w *WireObs) { ep.wobs = w }
 
 // Addr returns the listening address (useful with ":0").

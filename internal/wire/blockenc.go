@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"sync"
-
 	"fabricgossip/internal/ledger"
 )
 
@@ -42,7 +40,19 @@ func encodeTx(s sink, tx *ledger.Transaction) {
 	putBytes(s, tx.Payload)
 }
 
+// decodeBlock reads one block and seals it. The seal is a fresh canonical
+// encoding, not the bytes just read: a non-minimal varint, or a transaction
+// index wider than its uint32 field, decodes to a block whose canonical
+// encoding differs from the input.
 func decodeBlock(d *decoder) *ledger.Block {
+	b := decodeBlockFields(d)
+	if d.err == nil {
+		SealBlock(b)
+	}
+	return b
+}
+
+func decodeBlockFields(d *decoder) *ledger.Block {
 	b := &ledger.Block{}
 	b.Num = d.uvarint("block num")
 	b.PrevHash = d.digest("prev hash")
@@ -112,37 +122,45 @@ func decodeTx(d *decoder) *ledger.Transaction {
 	return tx
 }
 
-// blockSizes caches the encoded size of blocks. Blocks are immutable once
-// emitted by the ordering service, and the same block is transmitted
-// hundreds of times per experiment, so the cache removes the dominant
-// sizing cost from the simulation's hot path.
-var blockSizes sync.Map // *ledger.Block -> int
+// SealBlock computes b's canonical encoding and records it on the block
+// (ledger.Block.SetEncoding), so every later size query, marshal and frozen
+// batch reads those bytes instead of walking the block. The block's creator
+// calls it once, after the last field is set and before the block is
+// shared; it returns b.
+func SealBlock(b *ledger.Block) *ledger.Block {
+	b.SetEncoding(blockEncoding(b))
+	return b
+}
 
-// BlockEncodedSize returns the exact encoded length of b, cached.
+// BlockEncodedSize returns the exact encoded length of b: the sealed
+// encoding's length, or a counting walk for a block nobody sealed.
 func BlockEncodedSize(b *ledger.Block) int {
-	if v, ok := blockSizes.Load(b); ok {
-		return v.(int)
+	if enc := b.Encoding(); enc != nil {
+		return len(enc)
 	}
 	c := &countSink{}
 	encodeBlock(c, b)
-	blockSizes.Store(b, c.n)
 	return c.n
 }
 
-// blockEncs caches each block's full canonical encoding, blockSizes-style:
-// one buffer per block process-wide, shared by every frozen batch that
-// covers the block. Concurrent first encodes from different shards race
-// benignly — both produce identical bytes and either Store wins.
-var blockEncs sync.Map // *ledger.Block -> []byte
-
-// blockEncoding returns b's canonical encoding, cached. Callers must treat
-// the returned slice as immutable.
+// blockEncoding returns b's canonical encoding: the sealed bytes, shared by
+// every caller, or a fresh unshared encoding of an unsealed block. Callers
+// must treat the returned slice as immutable.
 func blockEncoding(b *ledger.Block) []byte {
-	if v, ok := blockEncs.Load(b); ok {
-		return v.([]byte)
+	if enc := b.Encoding(); enc != nil {
+		return enc
 	}
 	s := &bufSink{buf: make([]byte, 0, BlockEncodedSize(b))}
 	encodeBlock(s, b)
-	blockEncs.Store(b, s.buf)
 	return s.buf
+}
+
+// putBlock writes b's canonical encoding: the sealed bytes verbatim, or a
+// walk of an unsealed block. Both produce identical bytes.
+func putBlock(s sink, b *ledger.Block) {
+	if enc := b.Encoding(); enc != nil {
+		s.bytes(enc)
+		return
+	}
+	encodeBlock(s, b)
 }

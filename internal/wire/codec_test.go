@@ -1,10 +1,13 @@
 package wire
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"fabricgossip/internal/crypto"
 	"fabricgossip/internal/ledger"
@@ -45,9 +48,11 @@ func testBlock(num uint64, txs int) *ledger.Block {
 	return b
 }
 
-// allMessages returns one populated instance of every message type.
+// allMessages returns one populated instance of every message type. Its
+// blocks are sealed, as every block a runtime sends is: a decoded block
+// comes back sealed, so round-trip comparisons include the encoding.
 func allMessages() []Message {
-	blk := testBlock(7, 3)
+	blk := SealBlock(testBlock(7, 3))
 	return []Message{
 		&Data{Block: blk, Counter: 5},
 		&PushDigest{Offers: []BlockOffer{{Num: 1, Counter: 2}, {Num: 900, Counter: 0}}},
@@ -58,7 +63,7 @@ func allMessages() []Message {
 		&PullData{Nonce: 42, Block: blk},
 		&StateInfo{Height: 123456},
 		&StateRequest{From: 10, To: 20},
-		&StateResponse{Batch: NewBlockBatch([]*ledger.Block{testBlock(1, 2), testBlock(2, 1)})},
+		&StateResponse{Batch: NewBlockBatch([]*ledger.Block{SealBlock(testBlock(1, 2)), SealBlock(testBlock(2, 1))})},
 		&Alive{Seq: 9, Meta: []byte("peer0@orgA")},
 		&RaftVoteRequest{Term: 3, Candidate: 2, LastLogIndex: 99, LastLogTerm: 2},
 		&RaftVoteResponse{Term: 3, Granted: true},
@@ -131,16 +136,78 @@ func TestEncodedSizeMatchesMarshalledLength(t *testing.T) {
 	}
 }
 
+// Sealed, unsealed and decoded blocks all size and marshal exactly, and to
+// the same bytes. Only a sealed or decoded block carries an encoding:
+// sizing, marshalling or freezing an unsealed block never stores one.
 func TestBlockEncodedSizeIsCachedAndExact(t *testing.T) {
-	b := testBlock(99, 5)
-	s1 := BlockEncodedSize(b)
-	s2 := BlockEncodedSize(b)
-	if s1 != s2 {
-		t.Fatalf("cache returned different sizes: %d vs %d", s1, s2)
+	unsealed := testBlock(99, 5)
+	sealed := SealBlock(testBlock(99, 5))
+	msg := Marshal(&DeliverBlock{Block: sealed})
+	dec, err := Unmarshal(msg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	m := &Data{Block: b}
-	if len(Marshal(m)) != m.EncodedSize() {
-		t.Fatal("block size cache disagrees with marshal")
+	decoded := dec.(*DeliverBlock).Block
+	want := msg[1:] // the block body behind the type byte
+
+	for name, b := range map[string]*ledger.Block{"sealed": sealed, "unsealed": unsealed, "decoded": decoded} {
+		if s1, s2 := BlockEncodedSize(b), BlockEncodedSize(b); s1 != len(want) || s2 != s1 {
+			t.Fatalf("%s: BlockEncodedSize = %d then %d, want %d", name, s1, s2, len(want))
+		}
+		for _, m := range []Message{&Data{Block: b, Counter: 3}, &PullData{Nonce: 8, Block: b},
+			&StateResponse{Batch: NewBlockBatch([]*ledger.Block{b}).Freeze()}} {
+			if out := Marshal(m); len(out) != m.EncodedSize() {
+				t.Fatalf("%s %v: EncodedSize %d, Marshal %d bytes", name, m.Type(), m.EncodedSize(), len(out))
+			}
+		}
+		if got := Marshal(&DeliverBlock{Block: b}); !bytes.Equal(got, msg) {
+			t.Fatalf("%s: marshals differently from the sealed block", name)
+		}
+	}
+	if !bytes.Equal(sealed.Encoding(), want) || !bytes.Equal(decoded.Encoding(), want) {
+		t.Fatal("sealed or decoded block does not carry its canonical encoding")
+	}
+	if unsealed.Encoding() != nil {
+		t.Fatal("encoding an unsealed block stored an encoding on it")
+	}
+}
+
+// A block that went through every encoding path is collected once dropped:
+// nothing process-wide holds a block or its encoding.
+func TestDroppedBlockIsCollected(t *testing.T) {
+	for name, mk := range map[string]func() *ledger.Block{
+		"sealed":   func() *ledger.Block { return SealBlock(testBlock(11, 4)) },
+		"unsealed": func() *ledger.Block { return testBlock(11, 4) },
+		"decoded": func() *ledger.Block {
+			m, err := Unmarshal(Marshal(&DeliverBlock{Block: testBlock(11, 4)}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m.(*DeliverBlock).Block
+		},
+	} {
+		collected := make(chan struct{})
+		func() {
+			b := mk()
+			runtime.SetFinalizer(b, func(*ledger.Block) { close(collected) })
+			_ = BlockEncodedSize(b)
+			_ = Marshal(&Data{Block: b})
+			_ = Marshal(&StateResponse{Batch: NewBlockBatch([]*ledger.Block{b}).Freeze()})
+		}()
+		// Finalizers run on their own goroutine after the cycle that frees
+		// the object, so collect until one runs or the attempts run out.
+		freed := false
+		for i := 0; i < 20 && !freed; i++ {
+			runtime.GC()
+			select {
+			case <-collected:
+				freed = true
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+		if !freed {
+			t.Errorf("%s block was never collected after being dropped", name)
+		}
 	}
 }
 

@@ -40,13 +40,13 @@ func (*Data) Type() MsgType { return TypeData }
 
 // EncodedSize implements Message.
 func (m *Data) EncodedSize() int {
-	// type byte + counter varint + cached block size
+	// type byte + counter varint + sealed block size
 	return 1 + uvarintLen(uint64(m.Counter)) + BlockEncodedSize(m.Block)
 }
 
 func (m *Data) encode(s sink) {
 	s.uvarint(uint64(m.Counter))
-	encodeBlock(s, m.Block)
+	putBlock(s, m.Block)
 }
 
 func decodeData(d *decoder) *Data {
@@ -221,7 +221,7 @@ func (m *PullData) EncodedSize() int {
 
 func (m *PullData) encode(s sink) {
 	s.uvarint(m.Nonce)
-	encodeBlock(s, m.Block)
+	putBlock(s, m.Block)
 }
 
 func decodePullData(d *decoder) *PullData {
@@ -281,22 +281,22 @@ func decodeStateRequest(d *decoder) *StateRequest {
 }
 
 // BlockBatch is the payload of a StateResponse: an immutable run of
-// consecutive blocks together with (optionally) its cached encoding — the
+// consecutive blocks together with (optionally) its frozen encoding — the
 // length-prefixed batch framing, a uvarint block count followed by the
 // concatenated canonical block bodies. Blocks are immutable once cut, so a
 // serving peer freezes the batch once and every later transmission of the
-// same range reuses the cached bytes: the simulated transport sizes the
-// message from the cached length and the TCP transport appends the bytes
-// with one copy, with no per-request re-walk of the block trees.
+// same range reuses the frozen bytes: the simulated transport sizes the
+// message from their length and the TCP transport appends them with one
+// copy, with no per-request re-walk of the block trees.
 type BlockBatch struct {
 	Blocks []*ledger.Block
 
-	// encs holds each block's cached canonical encoding, nil until Freeze.
-	// The byte slices come from the process-wide per-block cache and are
-	// shared by every batch (and every serving peer) that covers the same
-	// block — a batch owns only this slice of pointers, never a flat copy
-	// of the bodies. At the 100k tier, per-provider flat copies were the
-	// largest single term of the peak heap.
+	// encs holds each block's canonical encoding, nil until Freeze. For a
+	// sealed block (SealBlock) it is the block's own encoding, shared by
+	// every batch (and every serving peer) that covers the block — a batch
+	// owns only this slice of pointers, never a flat copy of the bodies.
+	// At the 100k tier, per-provider flat copies were the largest single
+	// term of the peak heap.
 	encs [][]byte
 }
 
@@ -322,7 +322,7 @@ func (bb *BlockBatch) Freeze() *BlockBatch {
 func (bb *BlockBatch) Frozen() bool { return bb.encs != nil }
 
 // encodedLen returns the batch framing's length in bytes without encoding:
-// from the cache when frozen, otherwise from the per-block size cache.
+// from the frozen bytes, otherwise from each block's BlockEncodedSize.
 func (bb *BlockBatch) encodedLen() int {
 	n := uvarintLen(uint64(len(bb.Blocks)))
 	if bb.encs != nil {
@@ -337,8 +337,8 @@ func (bb *BlockBatch) encodedLen() int {
 	return n
 }
 
-// encodeTo writes the batch framing: the frozen bytes verbatim, or a fresh
-// walk of the block trees when unfrozen. Both produce identical bytes.
+// encodeTo writes the batch framing: the frozen bytes verbatim, or each
+// block's putBlock when unfrozen. Both produce identical bytes.
 func (bb *BlockBatch) encodeTo(s sink) {
 	s.uvarint(uint64(len(bb.Blocks)))
 	if bb.encs != nil {
@@ -348,7 +348,7 @@ func (bb *BlockBatch) encodeTo(s sink) {
 		return
 	}
 	for _, b := range bb.Blocks {
-		encodeBlock(s, b)
+		putBlock(s, b)
 	}
 }
 
@@ -461,7 +461,7 @@ func (*DeliverBlock) Type() MsgType { return TypeDeliverBlock }
 // EncodedSize implements Message.
 func (m *DeliverBlock) EncodedSize() int { return 1 + BlockEncodedSize(m.Block) }
 
-func (m *DeliverBlock) encode(s sink) { encodeBlock(s, m.Block) }
+func (m *DeliverBlock) encode(s sink) { putBlock(s, m.Block) }
 
 func decodeDeliverBlock(d *decoder) *DeliverBlock {
 	return &DeliverBlock{Block: decodeBlock(d)}
